@@ -19,6 +19,7 @@ from .orientation import find_semi_transitive, neighborhood_filter
 from .outcome import BudgetExhausted
 
 GENERATION_CEILING = 8
+FINAL_VERDICTS = ("representable", "non_representable")
 
 
 @dataclass
@@ -82,14 +83,14 @@ def corpus_from_graphs(n, graphs, provenance, connected=True):
 
 
 def decide_graph(task):
-    """Worker: decide one graph given (n, edges, max_nodes, max_seconds).
+    """Worker: decide one graph given (key, n, edges, max_nodes, max_seconds),
+    where key is the graph's canonical hex, computed once by the caller.
 
-    Returns (canonical hex, verdict, nodes) where verdict is "representable",
+    Returns (key, verdict, nodes) where verdict is "representable",
     "non_representable", or "budget" when inconclusive.
     """
-    n, edges, max_nodes, max_seconds = task
+    key, n, edges, max_nodes, max_seconds = task
     g = Graph(n, edges)
-    key = canonical_form(g).hex()
     if neighborhood_filter(g) is not None:
         return key, "non_representable", 0
     outcome = find_semi_transitive(g, max_nodes=max_nodes, max_seconds=max_seconds)
@@ -100,14 +101,24 @@ def decide_graph(task):
 
 
 def _load_checkpoint(path):
+    """Verdicts from the well-formed lines of a checkpoint file, and whether
+    its last line lacks a newline.
+
+    A line is well formed when it has three tab-separated fields: a key, a
+    final verdict and an integer node count.  Any other line, such as one
+    cut short by a crash or a "budget" line, is ignored, so its graph is
+    decided again.
+    """
     verdicts = {}
+    torn = False
     if path and os.path.exists(path):
         with open(path) as fh:
             for line in fh:
+                torn = not line.endswith("\n")
                 parts = line.rstrip("\n").split("\t")
-                if len(parts) >= 2 and parts[1] != "budget":
+                if len(parts) == 3 and parts[1] in FINAL_VERDICTS and parts[2].isdecimal():
                     verdicts[parts[0]] = parts[1]
-    return verdicts
+    return verdicts, torn
 
 
 def census(
@@ -126,15 +137,17 @@ def census(
     BudgetExhausted if any member's search was cut short, since a census
     with budget holes cannot certify counts.
     """
-    verdicts = _load_checkpoint(checkpoint)
+    verdicts, torn = _load_checkpoint(checkpoint)
     todo = []
     keys = []
     for g in corpus:
         key = canonical_form(g).hex()
         keys.append(key)
         if key not in verdicts:
-            todo.append((g.n, tuple(g.edges()), max_nodes, max_seconds))
+            todo.append((key, g.n, tuple(g.edges()), max_nodes, max_seconds))
     sink = open(checkpoint, "a") if checkpoint else None
+    if torn:
+        sink.write("\n")  # never glue a new line onto a cut-off one
     try:
         if jobs > 1 and len(todo) > 1:
             with multiprocessing.Pool(jobs) as pool:

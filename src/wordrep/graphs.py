@@ -393,24 +393,27 @@ def contains_induced(g, h):
 def _refine_cells(g):
     """Order-invariant vertex partition by iterated neighbor-color counting.
 
-    Returns a list of cells (lists of 0-indexed vertices); the cell order and
-    membership depend only on the isomorphism type.
+    Colors start as degrees; each round recolors a vertex by the rank of
+    (its color, the sorted tuple of its neighbors' colors) and stops once a
+    round splits no cell.  Returns a list of cells (lists of 0-indexed
+    vertices); the cell order and membership depend only on the isomorphism
+    type.
     """
-    color = {v: bin(g.adj[v]).count("1") for v in range(g.n)}
-    while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
-        }
-        palette = sorted(set(sig.values()))
-        new = {v: palette.index(sig[v]) for v in range(g.n)}
-        if len(palette) == len(set(color.values())):
-            color = new
+    n = g.n
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in g.adj]
+    color = [len(nb) for nb in nbrs]
+    k = len(set(color))
+    while k < n:  # a discrete partition cannot split further
+        sig = [(c, tuple(sorted([color[u] for u in nb]))) for c, nb in zip(color, nbrs)]
+        palette = sorted(set(sig))
+        rank = {s: i for i, s in enumerate(palette)}
+        color = [rank[s] for s in sig]
+        if len(palette) == k:
             break
-        color = new
+        k = len(palette)
     cells = {}
-    for v in range(g.n):
-        cells.setdefault(color[v], []).append(v)
+    for v, c in enumerate(color):
+        cells.setdefault(c, []).append(v)
     return [cells[c] for c in sorted(cells)]
 
 
@@ -420,55 +423,61 @@ def canonical_form(g):
     The encoding is the vertex count, the ordered cell sizes of the refined
     degree partition, and the lexicographically least column-major
     upper-triangle adjacency bitstring over all orderings that list each
-    cell's vertices contiguously in cell order.  The column-major layout
-    grows append-only as vertices are placed, so a depth-first search with
-    exact prefix pruning does the minimization; restricting to invariant
-    cells keeps the search far below n! in practice.
+    cell's vertices contiguously in cell order.  Placing the vertex at
+    position k appends its column, its adjacency to the k vertices before
+    it, so the orderings form a tree of prefixes.  The tree is searched
+    level by level with two prunings, neither of which can lose the least
+    bitstring:
+
+    - Only the prefixes whose bits are least among all prefixes of their
+      length are extended.  Every ordering has the same number of bits, so
+      each completion of a larger prefix is larger than each completion of
+      the least one.
+    - Of two unused twins (vertices whose neighborhoods agree apart from
+      each other) only the one listed first in its cell is placed next.
+      Swapping them is an automorphism that fixes every placed vertex, so
+      the two subtrees hold the same bitstrings.
+
+    Twins reduce K_n and the empty graph to a single path, where the full
+    tree has n! leaves.  Graphs with many automorphisms and no twins, such
+    as the Petersen graph, still keep many equal least prefixes, since each
+    automorphism maps one to another.
     """
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
-    if g.n == 0:
-        return b"\x00"
-    cells = _refine_cells(g)
-    slot_cell = []  # position -> cell index
-    for ci, cell in enumerate(cells):
-        slot_cell.extend([ci] * len(cell))
     n = g.n
-    best = None
-    perm = []
-    used = [False] * n
-
-    def search(bits):
-        nonlocal best
-        pos = len(perm)
-        if pos == n:
-            if best is None or bits < best:
-                best = bits
-            return
-        for v in cells[slot_cell[pos]]:
-            if used[v]:
-                continue
-            nb = bits + [g.adj[v] >> perm[i] & 1 for i in range(pos)]
-            if best is not None and nb > best[: len(nb)]:
-                continue
-            perm.append(v)
-            used[v] = True
-            search(nb)
-            perm.pop()
-            used[v] = False
-
-    search([])
+    if n == 0:
+        return b"\x00"
+    adj = g.adj
+    cells = _refine_cells(g)
+    earlier_twins = [0] * n  # mask of v's twins listed before v in its cell
+    for cell in cells:
+        for i, v in enumerate(cell):
+            for u in cell[:i]:
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    earlier_twins[v] |= 1 << u
+    slots = [cell for cell in cells for _ in cell]  # position -> its cell
+    level = [((), (1 << n) - 1)]  # least prefixes as (placed vertices, unused mask)
+    bits = 0
+    for pos, cell in enumerate(slots):
+        least = None
+        for placed, unused in level:
+            for v in cell:
+                if not unused >> v & 1 or earlier_twins[v] & unused:
+                    continue
+                a = adj[v]
+                col = 0
+                for p in placed:
+                    col = col << 1 | (a >> p & 1)
+                if least is None or col < least:
+                    least, survivors = col, []
+                if col == least:
+                    survivors.append((placed + (v,), unused & ~(1 << v)))
+        bits = bits << pos | least
+        level = survivors
+    total = n * (n - 1) // 2
     header = bytes([n]) + bytes(len(c) for c in cells)
-    packed = bytearray()
-    acc = 0
-    for i, b in enumerate(best):
-        acc = acc << 1 | b
-        if i % 8 == 7:
-            packed.append(acc)
-            acc = 0
-    if len(best) % 8:
-        packed.append(acc << (8 - len(best) % 8))
-    return header + b"|" + bytes(packed)
+    return header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
 
 
 def is_isomorphic(g, h):

@@ -127,6 +127,29 @@ def test_checkpoint_resume(tmp_path):
     assert third[flipped[0]] == "non_representable"
 
 
+def test_checkpoint_torn_last_line(tmp_path):
+    # a crash mid-write leaves a cut-off last line; it must be decided again,
+    # not believed, and the new verdict must land on a line of its own
+    corpus = generate(6)
+    ckpt = tmp_path / "n6.ckpt"
+    census(corpus, checkpoint=str(ckpt))
+    lines = ckpt.read_text().splitlines()
+    nonrep = [line for line in lines if line.split("\t")[1] == "non_representable"]
+    assert len(nonrep) == 1
+    key = nonrep[0].split("\t")[0]
+    rest = [line for line in lines if line != nonrep[0]]
+    ckpt.write_text("\n".join(rest) + "\n" + f"{key}\tnon_rep")
+    assert count_non_representable(corpus, checkpoint=str(ckpt)) == 1
+    after = ckpt.read_text().splitlines()
+    assert after[: len(rest) + 1] == rest + [f"{key}\tnon_rep"]
+    assert after[len(rest) + 1 :] == [nonrep[0]]
+    # lines without a final verdict or an integer node count are decided again too
+    for bad in (f"{key}\tnon_representable", f"{key}\tbudget\t7", f"{key}\tnon_representable\t"):
+        ckpt.write_text("\n".join(rest + [bad]) + "\n")
+        assert count_non_representable(corpus, checkpoint=str(ckpt)) == 1
+        assert ckpt.read_text().splitlines() == rest + [bad, nonrep[0]]
+
+
 def test_census_budget_abort():
     corpus = Corpus(8, [families.crown(4), families.wheel(7)])
     with pytest.raises(BudgetExhausted):

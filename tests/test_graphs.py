@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_labeled_graphs, brute_force_isomorphic, relabel
 from wordrep import families
+from wordrep.enumeration import _augmentations, generate
 from wordrep.graphs import (
+    CANONICAL_CEILING,
     CeilingExceeded,
     Graph,
     add_apex,
@@ -221,6 +224,144 @@ def test_canonical_petersen_two_constructions(petersen):
     kneser = Graph(10, edges)
     assert canonical_form(kneser) == canonical_form(petersen)
     assert is_isomorphic(kneser, petersen)
+
+
+# -- reference canonical form ---------------------------------------------------
+#
+# The exhaustive search that defined the encoding before the search was
+# pruned, kept verbatim apart from its names.  It walks every cell-respecting
+# ordering whose prefix is not larger than the best bitstring found so far,
+# which is up to n! orderings for K_n, so it is run on n <= 8 only.
+
+
+def _reference_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reference_refine_cells(g):
+    color = {v: bin(g.adj[v]).count("1") for v in range(g.n)}
+    while True:
+        sig = {
+            v: (color[v], tuple(sorted(color[u] for u in _reference_bits(g.adj[v]))))
+            for v in range(g.n)
+        }
+        palette = sorted(set(sig.values()))
+        new = {v: palette.index(sig[v]) for v in range(g.n)}
+        if len(palette) == len(set(color.values())):
+            color = new
+            break
+        color = new
+    cells = {}
+    for v in range(g.n):
+        cells.setdefault(color[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def reference_canonical_form(g):
+    if g.n > CANONICAL_CEILING:
+        raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
+    if g.n == 0:
+        return b"\x00"
+    cells = _reference_refine_cells(g)
+    slot_cell = []  # position -> cell index
+    for ci, cell in enumerate(cells):
+        slot_cell.extend([ci] * len(cell))
+    n = g.n
+    best = None
+    perm = []
+    used = [False] * n
+
+    def search(bits):
+        nonlocal best
+        pos = len(perm)
+        if pos == n:
+            if best is None or bits < best:
+                best = bits
+            return
+        for v in cells[slot_cell[pos]]:
+            if used[v]:
+                continue
+            nb = bits + [g.adj[v] >> perm[i] & 1 for i in range(pos)]
+            if best is not None and nb > best[: len(nb)]:
+                continue
+            perm.append(v)
+            used[v] = True
+            search(nb)
+            perm.pop()
+            used[v] = False
+
+    search([])
+    header = bytes([n]) + bytes(len(c) for c in cells)
+    packed = bytearray()
+    acc = 0
+    for i, b in enumerate(best):
+        acc = acc << 1 | b
+        if i % 8 == 7:
+            packed.append(acc)
+            acc = 0
+    if len(best) % 8:
+        packed.append(acc << (8 - len(best) % 8))
+    return header + b"|" + bytes(packed)
+
+
+def _complete_multipartite(*parts):
+    part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part_of)
+    return Graph(
+        n,
+        [(u + 1, v + 1) for u, v in itertools.combinations(range(n), 2) if part_of[u] != part_of[v]],
+    )
+
+
+def test_canonical_form_matches_reference_on_augmentations():
+    # every child generate() canonicalizes on the way to 7 vertices
+    children = [c for parent in generate(6, connected=False) for c in _augmentations(parent)]
+    assert len(children) == 156 * 64
+    for child in children:
+        assert canonical_form(child) == reference_canonical_form(child)
+
+
+def test_canonical_form_matches_reference_on_twin_heavy_graphs(rng):
+    graphs = [Graph(0)]
+    for n in range(1, 9):
+        graphs += [families.complete(n), families.empty(n)]
+    graphs += [families.star(m) for m in range(1, 8)]
+    graphs += [_complete_multipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
+    graphs += [
+        _complete_multipartite(*parts)
+        for parts in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 3, 3), (1, 1, 2, 4), (2, 2, 2, 2)]
+    ]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, tuple(perm))
+        assert canonical_form(g) == canonical_form(h) == reference_canonical_form(h)
+
+
+def test_canonical_form_at_ceiling_twins(rng):
+    for g in (families.complete(10), families.empty(10)):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        assert canonical_form(g) == canonical_form(relabel(g, tuple(perm)))
+
+
+@st.composite
+def relabeled_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=CANONICAL_CEILING))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    return g, relabel(g, tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(relabeled_pairs())
+def test_canonical_form_invariant_property(pair):
+    g, h = pair
+    assert canonical_form(g) == canonical_form(h)
 
 
 def test_canonical_ceiling():

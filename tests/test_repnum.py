@@ -13,7 +13,7 @@ from wordrep.repnum import (
     permutational_representation_number,
     representation_number,
 )
-from wordrep.words import avoids_pattern, contains_pattern, is_uniform, word_to_graph
+from wordrep.words import avoids_pattern, is_uniform, word_to_graph
 
 
 def test_uniform_search_fixtures():
@@ -97,16 +97,27 @@ def test_star_123_refuted_exhaustively():
 
 
 def test_star_labelings_132_match_brute_force():
-    # independent oracle: every word with letter multiplicities <= 2
+    # independent oracle: every word with letter multiplicities <= 2, checked
+    # by alternation and 132 containment written out here, not by wordrep.words
+    def alternate(w, x, y):
+        proj = [c for c in w if c in (x, y)]
+        return all(a != b for a, b in zip(proj, proj[1:]))
+
+    def contains_132(w):
+        return any(w[i] < w[k] < w[j] for i, j, k in itertools.combinations(range(len(w)), 3))
+
+    def represents_star(w, center):
+        return all(
+            alternate(w, x, y) == (center in (x, y))
+            for x, y in itertools.combinations((1, 2, 3, 4), 2)
+        )
+
     def brute(center):
-        target = Graph(4, [(center, v) for v in (1, 2, 3, 4) if v != center])
         for length in range(4, 9):
             for w in itertools.product((1, 2, 3, 4), repeat=length):
                 if any(w.count(c) > 2 or not w.count(c) for c in (1, 2, 3, 4)):
                     continue
-                if contains_pattern(w, (1, 3, 2)):
-                    continue
-                if word_to_graph(w) == target:
+                if not contains_132(w) and represents_star(w, center):
                     return True
         return False
 
@@ -114,6 +125,9 @@ def test_star_labelings_132_match_brute_force():
         g = Graph(4, [(center, v) for v in (1, 2, 3, 4) if v != center])
         out = find_pattern_avoiding_word(g, (1, 3, 2))
         assert out.found == brute(center)
+        if out.found:
+            w = tuple(out.witness)
+            assert set(w) == {1, 2, 3, 4} and not contains_132(w) and represents_star(w, center)
     # the center-4 labeling has a 132-avoiding representant, e.g. 3432141
     assert brute(4)
 
