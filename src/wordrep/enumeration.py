@@ -137,6 +137,14 @@ def census(
     BudgetExhausted if any member's search was cut short, since a census
     with budget holes cannot certify counts.
     """
+    return _census(corpus, jobs, checkpoint, max_nodes, max_seconds, progress)[1]
+
+
+def _census(
+    corpus, jobs=1, checkpoint=None, max_nodes=None, max_seconds=None, progress=None
+):
+    """`census`, returned after the canonical hex of every member, in corpus
+    order, so that callers need not compute the keys again."""
     verdicts, torn = _load_checkpoint(checkpoint)
     todo = []
     keys = []
@@ -183,7 +191,7 @@ def census(
             f"{undecided} of {len(keys)} graphs hit the search budget; "
             "counts would not be trustworthy"
         )
-    return out
+    return keys, out
 
 
 def count_non_representable(corpus, **kw):
@@ -194,10 +202,9 @@ def count_non_representable(corpus, **kw):
 
 
 def non_representable_members(corpus, **kw):
-    verdicts = census(corpus, **kw)
-    return [
-        g for g in corpus if verdicts[canonical_form(g).hex()] == "non_representable"
-    ]
+    """Corpus members that are not word-representable, in corpus order."""
+    keys, verdicts = _census(corpus, **kw)
+    return [g for g, key in zip(corpus, keys) if verdicts[key] == "non_representable"]
 
 
 def minimal_non_representable(corpus, **kw):

@@ -14,7 +14,14 @@ from __future__ import annotations
 import time
 
 from .graphs import CeilingExceeded, induced_subgraph, _bits
-from .outcome import BUDGET_EXHAUSTED, REFUTED, WITNESS, SearchOutcome, _Budget
+from .outcome import (
+    BUDGET_EXHAUSTED,
+    REFUTED,
+    WITNESS,
+    SearchOutcome,
+    _Budget,
+    _OutOfBudget,
+)
 from .words import word_to_graph
 
 ORIENTATION_CEILING = 12
@@ -305,12 +312,9 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATIO
     if succ is None:
         return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
     o = Orientation._from_succ(g, succ)
-    assert is_semi_transitive(o)
+    if not is_semi_transitive(o):
+        raise AssertionError("orientation search returned a non-semi-transitive orientation")
     return SearchOutcome(WITNESS, o, budget.nodes, elapsed)
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 # -- transitive orientations (comparability) ----------------------------------
@@ -410,7 +414,8 @@ def find_transitive(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEI
     if succ is None:
         return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
     o = Orientation._from_succ(g, succ)
-    assert is_transitive(o) and is_acyclic(o)
+    if not (is_transitive(o) and is_acyclic(o)):
+        raise AssertionError("transitive search returned a non-transitive orientation")
     return SearchOutcome(WITNESS, o, budget.nodes, elapsed)
 
 
@@ -488,6 +493,8 @@ def three_color(g, max_nodes=None, max_seconds=None):
     elapsed = time.monotonic() - start
     if not ok:
         return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
+    if any(color[u - 1] == color[v - 1] for u, v in g.edges()):
+        raise AssertionError("3-coloring search returned an improper coloring")
     return SearchOutcome(WITNESS, tuple(color), budget.nodes, elapsed)
 
 

@@ -46,6 +46,10 @@ class SearchOutcome:
         return self
 
 
+class _OutOfBudget(Exception):
+    """Raised inside a search when `_Budget.tick` says the budget is spent."""
+
+
 class _Budget:
     """Node/time budget shared by the backtracking searches."""
 

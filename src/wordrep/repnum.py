@@ -8,12 +8,18 @@ any word avoiding a length-3 pattern uses a degree>=2 letter at most twice
 and a letter adjacent to such a vertex at most three times, and for 132 a
 representable graph always has a witness with every letter at most twice.
 
-All searches are deterministic: letters are tried in increasing order.  The
-uniform search additionally keeps the word's first-occurrence sequence
-lexicographically minimal within the graph's automorphism group, which is
-sound because relabeling by an automorphism maps representants to
-representants of the same labeled graph (and pruning against any subset of
-the group stays sound, so huge groups are capped).
+All searches are deterministic: letters are tried in increasing order, and
+all of them grow the word one letter at a time over the same `_PairState`.
+The uniform search breaks two symmetries.  It keeps the word's
+first-occurrence sequence lexicographically minimal within the graph's
+automorphism group, which is sound because relabeling by an automorphism
+maps representants to representants of the same labeled graph (and pruning
+against any subset of the group stays sound, so huge groups are capped).
+And it starts every word with letter 1: a cyclic shift of a uniform
+representant represents the same graph (Kitaev & Pyatkin), so some witness
+starts with 1, and the lex-min image of that witness still starts with 1,
+because no automorphism maps 1 below 1.  The unrestricted search tried
+letter 1 first too, so witnesses are unchanged; only refutations shrink.
 """
 
 from __future__ import annotations
@@ -23,23 +29,101 @@ import time
 from itertools import permutations
 
 from .graphs import CeilingExceeded, automorphisms, max_clique_size, _bits
-from .outcome import BUDGET_EXHAUSTED, REFUTED, WITNESS, SearchOutcome, _Budget
+from .outcome import (
+    BUDGET_EXHAUSTED,
+    REFUTED,
+    WITNESS,
+    SearchOutcome,
+    _Budget,
+    _OutOfBudget,
+)
 from .words import as_pattern, word_to_graph
 
 LENGTH_CEILING = 36
 AUTOMORPHISM_CAP = 2048
 
 
-class _OutOfBudget(Exception):
-    pass
+class _PairState:
+    """A word under construction and the state of every letter pair, as
+    per-letter bitmasks (bit y of a mask stands for letter y+1).
 
+    - `before[x]`: for a placed x, the letters whose last copy comes before
+      x's last copy or that are not placed yet; 0 while x is unplaced.
+    - `broken[x]`: the non-neighbours y whose projection onto {x, y} has
+      stopped alternating.
+    - `placed`, `low`: the letters with a copy in the word, and with fewer
+      than two copies left.
 
-def _pair_tables(g):
-    """last-occurring letter (-1 if none) and broken flag per letter pair."""
-    n = g.n
-    last = [[-1] * n for _ in range(n)]
-    broken = [[False] * n for _ in range(n)]
-    return last, broken
+    Right after x is placed, x is the last letter of every pair {x, y}, so
+    the tests on the pairs at x are mask tests.  `place` builds new lists
+    and returns the old ones, which `unplace` puts back.
+    """
+
+    def __init__(self, g, caps):
+        self.full = (1 << g.n) - 1
+        self.adj = g.adj
+        self.nonadj = [self.full & ~(a | 1 << x) for x, a in enumerate(g.adj)]
+        self.unbroken = sum(m.bit_count() for m in self.nonadj) // 2
+        self.rem = list(caps)
+        self.low = sum(1 << x for x, c in enumerate(caps) if c < 2)
+        self.before = [0] * g.n
+        self.broken = [0] * g.n
+        self.placed = 0
+        self.word = []  # 1-indexed letters, so pattern checks read naturally
+
+    def moves(self):
+        """The letters that may come next, in increasing order.
+
+        A move x has a copy left, would not repeat in the projection of an
+        edge at x, and leaves every alternating non-edge at x breakable:
+        once x's last copy is placed, only two more copies of the other
+        letter can break it.  A uniform word needs no test that x's
+        neighbours keep copies to follow x: when all k copies of a neighbour
+        y are placed and x can still follow, the projection onto {x, y}
+        alternates and ends in y, so it holds k - 1 copies of x and x has
+        one copy left.
+        """
+        adj, nonadj, before, broken = self.adj, self.nonadj, self.before, self.broken
+        out = []
+        for x, r in enumerate(self.rem):
+            if not r or adj[x] & before[x]:
+                continue
+            if r == 1 and nonadj[x] & self.low & ~(broken[x] | before[x]):
+                continue
+            out.append(x)
+        return out
+
+    def place(self, x):
+        bit = 1 << x
+        before, broken = self.before, self.broken
+        undo = (before, broken, self.placed, self.low, self.unbroken)
+        new = before[x] & self.nonadj[x] & ~broken[x]
+        if new:  # x follows x in these pairs' projections
+            broken = broken[:]
+            broken[x] |= new
+            for y in _bits(new):
+                broken[y] |= bit
+            self.broken = broken
+            self.unbroken -= new.bit_count()
+        keep = ~bit
+        before = [b & keep for b in before]
+        before[x] = self.full & keep
+        self.before = before
+        self.placed |= bit
+        self.rem[x] -= 1
+        if self.rem[x] < 2:
+            self.low |= bit
+        self.word.append(x + 1)
+        return undo
+
+    def unplace(self, x, undo):
+        self.before, self.broken, self.placed, self.low, self.unbroken = undo
+        self.rem[x] += 1
+        self.word.pop()
+
+    def is_witness(self):
+        """Every letter is placed and every non-edge has stopped alternating."""
+        return self.placed == self.full and not self.unbroken
 
 
 class _UniformSearch:
@@ -52,88 +136,25 @@ class _UniformSearch:
     """
 
     def __init__(self, g, k, budget):
-        self.g = g
-        self.n = g.n
         self.k = k
-        self.adj = g.adj
+        self.length = g.n * k
         self.budget = budget
-        self.remaining = [k] * g.n
-        self.last, self.broken = _pair_tables(g)
-        self.word = []
+        self.state = _PairState(g, [k] * g.n)
         auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
         self.auts = [a for a in auts if any(a[i] != i for i in range(g.n))]
         self.active = list(range(len(self.auts)))  # fix word prefix pointwise
 
-    def _placeable(self, x):
-        if self.remaining[x] == 0:
-            return False
-        lx = self.last[x]
-        for y in _bits(self.adj[x]):
-            if lx[y] == x:
-                return False  # adjacent pair would repeat in projection
-        return True
-
-    def _feasible_after(self, x):
-        rem = self.remaining
-        lx = self.last[x]
-        bx = self.broken[x]
-        for y in range(self.n):
-            if y == x:
-                continue
-            if self.adj[x] >> y & 1:
-                if rem[y] == 0 and rem[x] > 0:
-                    return False  # no copies of y left to separate future x's
-            else:
-                if bx[y]:
-                    continue
-                last = lx[y]
-                if last == x:
-                    if rem[x] == 0 and rem[y] < 2:
-                        return False
-                elif last == y:
-                    if rem[y] == 0 and rem[x] < 2:
-                        return False
-                else:  # neither placed yet
-                    if not (
-                        (rem[x] >= 2 and rem[y] >= 1)
-                        or (rem[y] >= 2 and rem[x] >= 1)
-                    ):
-                        return False
-        return True
-
-    def _place(self, x):
-        trail = []
-        lx = self.last[x]
-        bx = self.broken[x]
-        adjx = self.adj[x]
-        for y in range(self.n):
-            if y == x:
-                continue
-            old = lx[y]
-            trail.append((y, old, bx[y]))
-            if old == x and not adjx >> y & 1:
-                bx[y] = self.broken[y][x] = True
-            lx[y] = self.last[y][x] = x
-        self.remaining[x] -= 1
-        self.word.append(x)
-        return trail
-
-    def _unplace(self, x, trail):
-        self.word.pop()
-        self.remaining[x] += 1
-        for y, old, was_broken in reversed(trail):
-            self.last[x][y] = self.last[y][x] = old
-            self.broken[x][y] = self.broken[y][x] = was_broken
-
-    def search(self, depth=0):
+    def search(self):
         if not self.budget.tick():
             raise _OutOfBudget
-        if depth == self.n * self.k:
-            return tuple(c + 1 for c in self.word)
-        for x in range(self.n):
-            if not self._placeable(x):
-                continue
-            new_letter = self.remaining[x] == self.k
+        state = self.state
+        if len(state.word) == self.length:
+            return tuple(state.word)
+        moves = state.moves()
+        if not state.word:  # only letter 1 may start it (see the module docstring)
+            moves = [x for x in moves if x == 0]
+        for x in moves:
+            new_letter = state.rem[x] == self.k
             saved_active = None
             if new_letter:
                 ok = True
@@ -149,12 +170,11 @@ class _UniformSearch:
                     continue
                 saved_active = self.active
                 self.active = survivors
-            trail = self._place(x)
-            if self._feasible_after(x):
-                result = self.search(depth + 1)
-                if result is not None:
-                    return result
-            self._unplace(x, trail)
+            undo = state.place(x)
+            result = self.search()
+            if result is not None:
+                return result
+            state.unplace(x, undo)
             if new_letter:
                 self.active = saved_active
         return None
@@ -165,8 +185,8 @@ def find_k_uniform_word(
 ):
     """Search for a k-uniform word representing the labeled graph g.
 
-    A refuted outcome is exhaustive over all k-uniform words; the
-    automorphism symmetry reduction never prunes the last witness.
+    A refuted outcome is exhaustive over all k-uniform words; neither
+    symmetry reduction (automorphisms, cyclic shifts) prunes the last witness.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -219,30 +239,29 @@ def representation_number(g, max_nodes=None, max_seconds=None):
 # -- pattern-avoiding search ---------------------------------------------------
 
 
-def _ends_with_occurrence(word, t):
-    """Does some occurrence of pattern t end at the last letter of word?"""
+def _ends_with_occurrence(word, z, t):
+    """Would some occurrence of pattern t end at letter z appended to word?"""
     m = len(t)
     L = len(word)
-    if L < m:
+    if L + 1 < m:
         return False
-    z = word[-1]
     if m == 3:
         # specialize the two patterns with completeness guarantees
         if t == (1, 3, 2):
             lo = None
-            for j in range(L - 1):
-                if lo is not None and lo < z and word[j] > z:
+            for c in word:
+                if lo is not None and lo < z and c > z:
                     return True
-                if lo is None or word[j] < lo:
-                    lo = word[j]
+                if lo is None or c < lo:
+                    lo = c
             return False
         if t == (1, 2, 3):
             lo = None
-            for j in range(L - 1):
-                if lo is not None and lo < word[j] < z:
+            for c in word:
+                if lo is not None and lo < c < z:
                     return True
-                if lo is None or word[j] < lo:
-                    lo = word[j]
+                if lo is None or c < lo:
+                    lo = c
             return False
 
     def extend(ti, start, chosen):
@@ -253,7 +272,7 @@ def _ends_with_occurrence(word, t):
                 if (a < b) != (x < z) or (a == b) != (x == z):
                     return False
             return True
-        for i in range(start, L - 1):
+        for i in range(start, L):
             c = word[i]
             ok = True
             for tj in range(ti):
@@ -307,109 +326,43 @@ class _PatternSearch:
 
     No automorphism symmetry breaking here: relabeling letters preserves the
     represented graph but not pattern avoidance (labeling matters), so every
-    labeled word within the caps must be considered.
+    labeled word within the caps must be considered.  Every non-edge is
+    checked once on the empty word; after that a placement changes only the
+    pairs at the placed letter, so only those are checked again.
     """
 
     def __init__(self, g, t, caps, budget):
-        self.g = g
-        self.n = g.n
         self.t = t
-        self.adj = g.adj
         self.budget = budget
-        self.caps = [caps[v] for v in g.vertices()]
-        self.remaining = list(self.caps)
-        self.last, self.broken = _pair_tables(g)
-        self.word = []  # 1-indexed letters, so pattern checks read naturally
-        self.missing = g.n
-
-    def _is_witness(self):
-        if self.missing:
-            return False
-        for x in range(self.n):
-            bx = self.broken[x]
-            for y in range(x + 1, self.n):
-                if not (self.adj[x] >> y & 1) and not bx[y]:
-                    return False
-        return True
-
-    def _placeable(self, x):
-        if self.remaining[x] == 0:
-            return False
-        lx = self.last[x]
-        for y in _bits(self.adj[x]):
-            if lx[y] == x:
-                return False
-        return True
-
-    def _feasible_after(self):
-        # edges never go infeasible here (we may simply stop placing a
-        # letter), but a still-alternating non-edge must remain breakable
-        rem = self.remaining
-        for x in range(self.n):
-            lx = self.last[x]
-            bx = self.broken[x]
-            for y in range(x + 1, self.n):
-                if self.adj[x] >> y & 1 or bx[y]:
-                    continue
-                last = lx[y]
-                if last == x:
-                    if rem[x] == 0 and rem[y] < 2:
-                        return False
-                elif last == y:
-                    if rem[y] == 0 and rem[x] < 2:
-                        return False
-                else:
-                    if not (
-                        (rem[x] >= 2 and rem[y] >= 1)
-                        or (rem[y] >= 2 and rem[x] >= 1)
-                    ):
-                        return False
-        return True
-
-    def _place(self, x):
-        trail = []
-        lx = self.last[x]
-        bx = self.broken[x]
-        adjx = self.adj[x]
-        for y in range(self.n):
-            if y == x:
-                continue
-            old = lx[y]
-            trail.append((y, old, bx[y]))
-            if not adjx >> y & 1 and old == x:
-                bx[y] = self.broken[y][x] = True
-            lx[y] = self.last[y][x] = x
-        if self.remaining[x] == self.caps[x]:
-            self.missing -= 1
-        self.remaining[x] -= 1
-        self.word.append(x + 1)
-        return trail
-
-    def _unplace(self, x, trail):
-        self.word.pop()
-        self.remaining[x] += 1
-        if self.remaining[x] == self.caps[x]:
-            self.missing += 1
-        for y, old, was_broken in reversed(trail):
-            self.last[x][y] = self.last[y][x] = old
-            self.broken[x][y] = self.broken[y][x] = was_broken
+        caps = [caps[v] for v in g.vertices()]
+        self.length = sum(caps)
+        self.state = _PairState(g, caps)
+        # a non-edge stops alternating only by xx or yy in its projection,
+        # so on the empty word it needs a copy of each letter and two of one
+        self.hopeless = any(
+            min(caps[x], caps[y]) < 1 or max(caps[x], caps[y]) < 2
+            for x in range(g.n)
+            for y in _bits(self.state.nonadj[x])
+        )
 
     def search(self):
         if not self.budget.tick():
             raise _OutOfBudget
-        if self._is_witness():
-            return tuple(self.word)
-        if len(self.word) == sum(self.caps):
+        state = self.state
+        if state.is_witness():
+            return tuple(state.word)
+        if self.hopeless or len(state.word) == self.length:
             return None
-        for x in range(self.n):
-            if not self._placeable(x):
+        # edges never go infeasible here (we may simply stop placing a
+        # letter), but a still-alternating non-edge must remain breakable
+        for x in state.moves():
+            if _ends_with_occurrence(state.word, x + 1, self.t):
                 continue
-            trail = self._place(x)
-            if not _ends_with_occurrence(self.word, self.t) and self._feasible_after():
-                result = self.search()
-                if result is not None:
-                    return result
-            self._unplace(x, trail)
+            undo = state.place(x)
+            result = self.search()
+            if result is not None:
+                return result
+            state.unplace(x, undo)
         return None
 
 
@@ -450,53 +403,22 @@ def count_pattern_avoiding_representants(g, t, max_len):
     t = as_pattern(t)
     if g.n**max_len > 10**8:
         raise CeilingExceeded("alphabet**length too large for exhaustive count")
-    n = g.n
-    adj = g.adj
-    last, broken = _pair_tables(g)
-    word = []
+    state = _PairState(g, [max_len] * g.n)
     count = 0
 
-    def is_witness(seen_mask):
-        if seen_mask != (1 << n) - 1:
-            return False
-        for x in range(n):
-            bx = broken[x]
-            for y in range(x + 1, n):
-                if not (adj[x] >> y & 1) and not bx[y]:
-                    return False
-        return True
-
-    def rec(seen_mask):
+    def rec():
         nonlocal count
-        if is_witness(seen_mask):
+        if state.is_witness():
             count += 1
-        if len(word) == max_len:
+        if len(state.word) == max_len:
             return
-        for x in range(n):
-            lx = last[x]
-            if any(lx[y] == x for y in _bits(adj[x])):
-                continue
-            word.append(x + 1)
-            if _ends_with_occurrence(word, t):
-                word.pop()
-                continue
-            trail = []
-            bx = broken[x]
-            for y in range(n):
-                if y == x:
-                    continue
-                old = lx[y]
-                trail.append((y, old, bx[y]))
-                if not adj[x] >> y & 1 and old == x:
-                    bx[y] = broken[y][x] = True
-                lx[y] = last[y][x] = x
-            rec(seen_mask | 1 << x)
-            word.pop()
-            for y, old, was_broken in reversed(trail):
-                last[x][y] = last[y][x] = old
-                broken[x][y] = broken[y][x] = was_broken
+        for x in state.moves():
+            if not _ends_with_occurrence(state.word, x + 1, t):
+                undo = state.place(x)
+                rec()
+                state.unplace(x, undo)
 
-    rec(0)
+    rec()
     return count
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import all_labeled_graphs, brute_force_isomorphic
-from wordrep import families
+from wordrep import enumeration, families
 from wordrep.enumeration import (
     Corpus,
     census,
@@ -84,6 +84,22 @@ def test_census_n7():
     minimal = minimal_non_representable(corpus)
     assert len(minimal) == 10
     assert all(not contains_induced(g, w5) for g in minimal)
+
+
+def test_members_reuse_census_keys(monkeypatch):
+    corpus = generate(6)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    assert len(non_representable_members(corpus)) == 1
+    assert len(calls) == len(corpus) == 112
+    calls.clear()
+    assert len(minimal_non_representable(corpus)) == 1
+    assert len(calls) == 112
 
 
 def test_minimal_n5_n6():

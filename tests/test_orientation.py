@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,46 @@ def test_triple_subdivision_of_k5_is_representable():
     coloring = three_color(g)
     assert coloring.found
     assert is_semi_transitive(orientation_from_coloring(g, coloring.witness))
+
+
+_BAD_WITNESS_SCRIPT = """
+import sys
+from wordrep import families, orientation
+
+if sys.flags.optimize != 1:
+    raise SystemExit("not run with -O")
+
+def raises(call):
+    try:
+        call()
+    except AssertionError:
+        return True
+    return False
+
+# a directed triangle is no orientation of a graph with a word
+orientation._OrientSearch.search = lambda self: [0b010, 0b100, 0b001]
+semi = raises(lambda: orientation.find_semi_transitive(families.cycle(3)))
+# 1->2->3 without the arc 1->3 is not transitive
+orientation._TransSearch.search = lambda self: [0b010, 0b100, 0b000]
+trans = raises(lambda: orientation.find_transitive(families.path(3)))
+# blind to neighbours, the coloring search paints K3 with one color
+orientation._bits = lambda mask: iter(())
+color = raises(lambda: orientation.three_color(families.complete(3)))
+print(semi, trans, color)
+"""
+
+
+def test_witness_checks_survive_optimize():
+    # `python -O` strips assert statements, so a witness check must raise
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_WITNESS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]

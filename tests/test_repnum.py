@@ -1,11 +1,17 @@
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import relabel
 from wordrep import families
-from wordrep.graphs import CeilingExceeded, Graph
+from wordrep.enumeration import generate
+from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms
+from wordrep.outcome import _Budget, _OutOfBudget
 from wordrep.repnum import (
+    AUTOMORPHISM_CAP,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
     find_pattern_avoiding_word,
@@ -208,3 +214,368 @@ def test_perm_number_two_matches_brute_force(rng):
 def test_perm_ceiling():
     with pytest.raises(CeilingExceeded):
         permutational_representation_number(families.crown(4))
+
+
+# -- reference searches -----------------------------------------------------------
+#
+# The uniform and pattern searches as they were before both moved onto the
+# bitmask pair state, kept verbatim apart from their names: n x n tables of the
+# last-placed letter and of broken pairs, updated in O(n) per placement, every
+# root letter tried by the uniform search, and every pair rechecked after each
+# placement by the pattern search.  `_reference_ends_with_occurrence` keeps
+# only the 132 and 123 branches, the two patterns the tests run.
+
+
+def _reference_pair_tables(g):
+    """last-occurring letter (-1 if none) and broken flag per letter pair."""
+    n = g.n
+    last = [[-1] * n for _ in range(n)]
+    broken = [[False] * n for _ in range(n)]
+    return last, broken
+
+
+class _ReferenceUniformSearch:
+    def __init__(self, g, k, budget):
+        self.g = g
+        self.n = g.n
+        self.k = k
+        self.adj = g.adj
+        self.budget = budget
+        self.remaining = [k] * g.n
+        self.last, self.broken = _reference_pair_tables(g)
+        self.word = []
+        auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
+        self.auts = [a for a in auts if any(a[i] != i for i in range(g.n))]
+        self.active = list(range(len(self.auts)))  # fix word prefix pointwise
+
+    def _placeable(self, x):
+        if self.remaining[x] == 0:
+            return False
+        lx = self.last[x]
+        for y in _bits(self.adj[x]):
+            if lx[y] == x:
+                return False  # adjacent pair would repeat in projection
+        return True
+
+    def _feasible_after(self, x):
+        rem = self.remaining
+        lx = self.last[x]
+        bx = self.broken[x]
+        for y in range(self.n):
+            if y == x:
+                continue
+            if self.adj[x] >> y & 1:
+                if rem[y] == 0 and rem[x] > 0:
+                    return False  # no copies of y left to separate future x's
+            else:
+                if bx[y]:
+                    continue
+                last = lx[y]
+                if last == x:
+                    if rem[x] == 0 and rem[y] < 2:
+                        return False
+                elif last == y:
+                    if rem[y] == 0 and rem[x] < 2:
+                        return False
+                else:  # neither placed yet
+                    if not (
+                        (rem[x] >= 2 and rem[y] >= 1)
+                        or (rem[y] >= 2 and rem[x] >= 1)
+                    ):
+                        return False
+        return True
+
+    def _place(self, x):
+        trail = []
+        lx = self.last[x]
+        bx = self.broken[x]
+        adjx = self.adj[x]
+        for y in range(self.n):
+            if y == x:
+                continue
+            old = lx[y]
+            trail.append((y, old, bx[y]))
+            if old == x and not adjx >> y & 1:
+                bx[y] = self.broken[y][x] = True
+            lx[y] = self.last[y][x] = x
+        self.remaining[x] -= 1
+        self.word.append(x)
+        return trail
+
+    def _unplace(self, x, trail):
+        self.word.pop()
+        self.remaining[x] += 1
+        for y, old, was_broken in reversed(trail):
+            self.last[x][y] = self.last[y][x] = old
+            self.broken[x][y] = self.broken[y][x] = was_broken
+
+    def search(self, depth=0):
+        if not self.budget.tick():
+            raise _OutOfBudget
+        if depth == self.n * self.k:
+            return tuple(c + 1 for c in self.word)
+        for x in range(self.n):
+            if not self._placeable(x):
+                continue
+            new_letter = self.remaining[x] == self.k
+            saved_active = None
+            if new_letter:
+                ok = True
+                survivors = []
+                for ai in self.active:
+                    image = self.auts[ai][x]
+                    if image < x:
+                        ok = False
+                        break
+                    if image == x:
+                        survivors.append(ai)
+                if not ok:
+                    continue
+                saved_active = self.active
+                self.active = survivors
+            trail = self._place(x)
+            if self._feasible_after(x):
+                result = self.search(depth + 1)
+                if result is not None:
+                    return result
+            self._unplace(x, trail)
+            if new_letter:
+                self.active = saved_active
+        return None
+
+
+def reference_uniform_search(g, k, automorphism_rule=True, cyclic_rule=False):
+    """(the first witness in the old branch order or None, nodes).  Without
+    the automorphism rule nothing is pruned but infeasible placements; the
+    cyclic rule lets only letter 1 start the word."""
+    budget = _Budget()
+    searcher = _ReferenceUniformSearch(g, k, budget)
+    if not automorphism_rule:
+        searcher.auts, searcher.active = [], []
+    if cyclic_rule:
+        placeable = searcher._placeable
+        searcher._placeable = lambda x: (x == 0 or bool(searcher.word)) and placeable(x)
+    return searcher.search(), budget.nodes
+
+
+def _reference_ends_with_occurrence(word, t):
+    """Does some occurrence of pattern t end at the last letter of word?"""
+    m = len(t)
+    L = len(word)
+    if L < m:
+        return False
+    z = word[-1]
+    if t == (1, 3, 2):
+        lo = None
+        for j in range(L - 1):
+            if lo is not None and lo < z and word[j] > z:
+                return True
+            if lo is None or word[j] < lo:
+                lo = word[j]
+        return False
+    if t == (1, 2, 3):
+        lo = None
+        for j in range(L - 1):
+            if lo is not None and lo < word[j] < z:
+                return True
+            if lo is None or word[j] < lo:
+                lo = word[j]
+        return False
+    raise NotImplementedError(t)
+
+
+class _ReferencePatternSearch:
+    def __init__(self, g, t, caps, budget):
+        self.g = g
+        self.n = g.n
+        self.t = t
+        self.adj = g.adj
+        self.budget = budget
+        self.caps = [caps[v] for v in g.vertices()]
+        self.remaining = list(self.caps)
+        self.last, self.broken = _reference_pair_tables(g)
+        self.word = []  # 1-indexed letters, so pattern checks read naturally
+        self.missing = g.n
+
+    def _is_witness(self):
+        if self.missing:
+            return False
+        for x in range(self.n):
+            bx = self.broken[x]
+            for y in range(x + 1, self.n):
+                if not (self.adj[x] >> y & 1) and not bx[y]:
+                    return False
+        return True
+
+    def _placeable(self, x):
+        if self.remaining[x] == 0:
+            return False
+        lx = self.last[x]
+        for y in _bits(self.adj[x]):
+            if lx[y] == x:
+                return False
+        return True
+
+    def _feasible_after(self):
+        # edges never go infeasible here (we may simply stop placing a
+        # letter), but a still-alternating non-edge must remain breakable
+        rem = self.remaining
+        for x in range(self.n):
+            lx = self.last[x]
+            bx = self.broken[x]
+            for y in range(x + 1, self.n):
+                if self.adj[x] >> y & 1 or bx[y]:
+                    continue
+                last = lx[y]
+                if last == x:
+                    if rem[x] == 0 and rem[y] < 2:
+                        return False
+                elif last == y:
+                    if rem[y] == 0 and rem[x] < 2:
+                        return False
+                else:
+                    if not (
+                        (rem[x] >= 2 and rem[y] >= 1)
+                        or (rem[y] >= 2 and rem[x] >= 1)
+                    ):
+                        return False
+        return True
+
+    def _place(self, x):
+        trail = []
+        lx = self.last[x]
+        bx = self.broken[x]
+        adjx = self.adj[x]
+        for y in range(self.n):
+            if y == x:
+                continue
+            old = lx[y]
+            trail.append((y, old, bx[y]))
+            if not adjx >> y & 1 and old == x:
+                bx[y] = self.broken[y][x] = True
+            lx[y] = self.last[y][x] = x
+        if self.remaining[x] == self.caps[x]:
+            self.missing -= 1
+        self.remaining[x] -= 1
+        self.word.append(x + 1)
+        return trail
+
+    def _unplace(self, x, trail):
+        self.word.pop()
+        self.remaining[x] += 1
+        if self.remaining[x] == self.caps[x]:
+            self.missing += 1
+        for y, old, was_broken in reversed(trail):
+            self.last[x][y] = self.last[y][x] = old
+            self.broken[x][y] = self.broken[y][x] = was_broken
+
+    def search(self):
+        if not self.budget.tick():
+            raise _OutOfBudget
+        if self._is_witness():
+            return tuple(self.word)
+        if len(self.word) == sum(self.caps):
+            return None
+        for x in range(self.n):
+            if not self._placeable(x):
+                continue
+            trail = self._place(x)
+            if not _reference_ends_with_occurrence(self.word, self.t) and self._feasible_after():
+                result = self.search()
+                if result is not None:
+                    return result
+            self._unplace(x, trail)
+        return None
+
+
+def reference_pattern_search(g, t):
+    """(witness or None, nodes) of the old pattern search."""
+    budget = _Budget()
+    searcher = _ReferencePatternSearch(g, t, multiplicity_caps(g, t)[0], budget)
+    return searcher.search(), budget.nodes
+
+
+def _graphs_and_relabelings(rng):
+    for n in range(1, 7):
+        for g in generate(n, connected=False):
+            yield g
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield relabel(g, perm)
+
+
+def test_uniform_search_matches_reference():
+    rng = random.Random(4)
+    for g in _graphs_and_relabelings(rng):
+        for k in (1, 2, 3):
+            out = find_k_uniform_word(g, k)
+            assert out.witness == reference_uniform_search(g, k)[0], (g, k)
+            assert out.status == ("witness" if out.witness else "refuted")
+            # the same tree as the old one cut down to its letter-1 subtree
+            expected = reference_uniform_search(g, k, cyclic_rule=True)
+            assert (out.witness, out.nodes_expanded) == expected, (g, k)
+
+
+def test_uniform_verdicts_match_unpruned_search():
+    # no automorphism rule and every root letter: only infeasible words go
+    rng = random.Random(5)
+    for g in _graphs_and_relabelings(rng):
+        for k in (1, 2, 3):
+            witness, _ = reference_uniform_search(g, k, automorphism_rule=False)
+            assert find_k_uniform_word(g, k).found == (witness is not None), (g, k)
+
+
+def test_pattern_search_matches_reference():
+    for n in (5, 6):
+        for g in generate(n):
+            for t in ((1, 3, 2), (1, 2, 3)):
+                out = find_pattern_avoiding_word(g, t)
+                assert (out.witness, out.nodes_expanded) == reference_pattern_search(g, t), (g, t)
+    # under 21 every letter of P3 is capped at one copy, so its non-edge can
+    # never break; the old search saw that after each root placement
+    out = find_pattern_avoiding_word(families.path(3), (2, 1))
+    assert out.refuted and out.nodes_expanded == 1
+
+
+def test_uniform_search_starts_with_letter_one():
+    # the cyclic-shift rule: W5's hub no longer starts a word, the rim
+    # letters were one orbit already, so only the refutations get cheaper
+    wheel = families.wheel(5)
+    for k in (2, 3):
+        assert find_k_uniform_word(wheel, k).nodes_expanded < reference_uniform_search(wheel, k)[1]
+    for g in (families.cycle(5), families.crown(3), families.path(5)):
+        assert find_k_uniform_word(g, 2).witness[0] == 1
+
+
+# -- word symmetries ------------------------------------------------------------
+
+
+def _alternating_pairs(w):
+    """Pairs of letters whose projection alternates, by the definition."""
+    out = set()
+    for x, y in itertools.combinations(sorted(set(w)), 2):
+        proj = [c for c in w if c in (x, y)]
+        if all(a != b for a, b in zip(proj, proj[1:])):
+            out.add((x, y))
+    return out
+
+
+@st.composite
+def uniform_words(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    return tuple(draw(st.permutations([c for c in range(1, n + 1) for _ in range(k)])))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(uniform_words(), st.integers(0, 23))
+def test_cyclic_shift_and_reversal_keep_the_graph(w, shift):
+    shift %= len(w)
+    shifted = w[shift:] + w[:shift]
+    edges = _alternating_pairs(w)
+    assert _alternating_pairs(shifted) == edges
+    assert _alternating_pairs(w[::-1]) == edges
+    g = word_to_graph(w)
+    assert set(g.edges()) == edges
+    assert word_to_graph(shifted) == g == word_to_graph(w[::-1])
