@@ -140,13 +140,17 @@ def induced_subgraph(g, keep):
     """Induced subgraph on `keep` (an iterable of vertices), relabeled 1..k
     preserving the relative order of the kept labels."""
     keep = sorted(set(keep))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u] + 1, index[v] + 1)
-        for u, v in itertools.combinations(keep, 2)
-        if g.has_edge(u, v)
-    ]
-    return Graph(len(keep), edges)
+    if keep and not (1 <= keep[0] and keep[-1] <= g.n):
+        raise ValueError(f"vertices to keep must lie in 1..{g.n}")
+    keep_mask = sum(1 << (v - 1) for v in keep)
+    new_bit = {v - 1: 1 << i for i, v in enumerate(keep)}
+    masks = []
+    for v in keep:
+        mask = 0
+        for u in _bits(g.adj[v - 1] & keep_mask):
+            mask |= new_bit[u]
+        masks.append(mask)
+    return _from_masks(len(keep), masks)
 
 
 def delete_vertex(g, v):

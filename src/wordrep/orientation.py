@@ -4,9 +4,17 @@ An orientation assigns a direction to every edge.  It is semi-transitive when
 it is acyclic and, for every arc u->v, the sub-orientation induced by u, v and
 all vertices lying on directed u->v paths is transitive; a graph is
 word-representable exactly when it admits such an orientation, so the
-backtracking searches here double as the representability decision procedure.
+backtracking search here doubles as the representability decision procedure.
+Its forced-arc propagation works on adjacency bitmasks.
+
 Transitive orientations (comparability) and 3-colorings give two cheaper
-certificate routes.
+certificate routes.  Transitive orientations come from Golumbic's TRO
+algorithm (*Algorithmic Graph Theory and Perfect Graphs*, ch. 5), which
+orients one implication class at a time.  It runs in polynomial time and
+always reaches a verdict, so it takes no budget, and its `nodes_expanded`
+counts implication classes.  Every neighborhood of a word-representable
+graph is a comparability graph, which gives the fast necessary test
+`neighborhood_filter`.
 """
 
 from __future__ import annotations
@@ -119,12 +127,10 @@ def _closures(succ, order):
             d |= desc[w]
         desc[v] = d
     anc = [0] * n
-    for v in order:
-        a = 0
-        for u in range(n):
-            if succ[u] >> v & 1:
-                a |= anc[u] | (1 << u)
-        anc[v] = a
+    for u in order:
+        a = anc[u] | (1 << u)
+        for v in _bits(succ[u]):
+            anc[v] |= a
     return desc, anc
 
 
@@ -138,19 +144,23 @@ def is_semi_transitive(o):
 
 
 def _shortcut_free(succ, order):
-    n = len(succ)
+    """Whether the sub-orientation on every arc's interval is transitive.
+
+    The interval of an arc u->v holds u, v and the vertices between them;
+    every path between two of its vertices stays inside it, so it is
+    transitive exactly when each vertex's descendants in it are its
+    successors.
+    """
     desc, anc = _closures(succ, order)
-    for u in range(n):
+    for u in range(len(succ)):
         for v in _bits(succ[u]):
             between = desc[u] & anc[v]
             if not between:
                 continue
             scope = between | (1 << u) | (1 << v)
             for a in _bits(scope):
-                sa = succ[a] & scope
-                for b in _bits(sa):
-                    if succ[b] & scope & ~sa:
-                        return False
+                if desc[a] & scope & ~succ[a]:
+                    return False
     return True
 
 
@@ -201,65 +211,66 @@ class _OrientSearch:
     def oriented(self, a, b):
         return (self.succ[a] >> b | self.succ[b] >> a) & 1
 
-    def _reaches(self, src, dst):
-        seen = 1 << src
-        frontier = seen
-        target = 1 << dst
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.succ[v]
-            if nxt & target:
-                return True
-            frontier = nxt & ~seen
-            seen |= frontier
-        return False
-
-    def _apply(self, a, b, trail):
-        """Add arc a->b if consistent; record on trail.  False on conflict."""
-        if self.succ[b] >> a & 1:
-            return False  # already oriented the other way
-        if self.succ[a] >> b & 1:
-            return True
-        if self._reaches(b, a):
-            return False  # would close a directed cycle
-        self.succ[a] |= 1 << b
-        self.pred[b] |= 1 << a
-        trail.append((a, b))
-        return True
-
     def _propagate(self, a, b, trail):
-        """Force consequences of arc a->b; False on contradiction."""
-        queue = [(a, b)]
-        qi = 0
-        while qi < len(queue):
-            a, b = queue[qi]
-            qi += 1
-            if self.succ[a] >> b & 1:
-                continue  # already applied, consequences already queued
-            if not self._apply(a, b, trail):
-                return False
-            # triangle closure
-            for c in _bits(self.adj[a] & self.adj[b]):
-                if self.succ[c] >> a & 1:
-                    queue.append((c, b))
-                if self.succ[b] >> c & 1:
-                    queue.append((a, c))
-            # quadrilateral completion around every new 2-path through a->b
-            for u, x, v in self._two_paths(a, b):
-                uv_adjacent = self.adj[u] >> v & 1
-                for w in _bits(self.adj[u] & self.adj[v] & ~(1 << x)):
-                    if uv_adjacent and self.adj[w] >> x & 1:
-                        continue
-                    queue.append((u, w))
-                    queue.append((w, v))
-        return True
+        """Add arc a->b and every arc it forces, recording them on trail;
+        False on contradiction.
 
-    def _two_paths(self, a, b):
-        for p in _bits(self.pred[a]):
-            yield p, a, b
-        for s in _bits(self.succ[b]):
-            yield a, b, s
+        The forced arcs form one least closure, whatever order the queue
+        takes them in, so the outcome and the arcs added do not depend on it.
+        """
+        adj, succ, pred = self.adj, self.succ, self.pred
+        queue = [(a, b)]
+        for a, b in queue:
+            bit_a, bit_b = 1 << a, 1 << b
+            if succ[a] & bit_b:
+                continue  # already applied, consequences already queued
+            if succ[b] & bit_a:
+                return False  # already oriented the other way
+            if succ[b] and pred[a]:  # would a->b close a directed cycle?
+                seen = frontier = bit_b
+                while frontier:
+                    reach = 0
+                    for v in _bits(frontier):
+                        reach |= succ[v]
+                    if reach & bit_a:
+                        return False
+                    frontier = reach & ~seen
+                    seen |= frontier
+            succ[a] |= bit_b
+            pred[b] |= bit_a
+            trail.append((a, b))
+            # triangle closure: a->b->c forces a->c, and c->a->b forces c->b
+            common = adj[a] & adj[b]
+            heads = succ[b] & common
+            tails = pred[a] & common
+            # quadrilateral completion around every new 2-path u->x->v
+            # through a->b: it forces u->w->v for the common neighbours w of
+            # u and v other than x, less x's neighbours when u, v are adjacent
+            if pred[a]:
+                for u in _bits(pred[a]):  # u->a->b
+                    w = adj[u] & adj[b] & ~bit_a
+                    if adj[u] & bit_b:
+                        w &= ~adj[a]
+                    tails |= w
+                    w &= ~succ[u]
+                    if w:
+                        queue += [(u, c) for c in _bits(w)]
+            if succ[b]:
+                for v in _bits(succ[b]):  # a->b->v
+                    w = adj[a] & adj[v] & ~bit_b
+                    if adj[a] >> v & 1:
+                        w &= ~adj[b]
+                    heads |= w
+                    w &= ~pred[v]
+                    if w:
+                        queue += [(c, v) for c in _bits(w)]
+            heads &= ~succ[a]
+            if heads:
+                queue += [(a, c) for c in _bits(heads)]
+            tails &= ~pred[b]
+            if tails:
+                queue += [(c, b) for c in _bits(tails)]
+        return True
 
     def search(self):
         """First semi-transitive completion in branch order, else None."""
@@ -289,148 +300,123 @@ class _OrientSearch:
         return None
 
 
-def find_semi_transitive(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING):
+def find_semi_transitive(
+    g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING, *, budget=None
+):
     """Search for a semi-transitive orientation of g.
 
     Returns a witness Orientation or an exhaustive refutation; a refutation
-    outcome means the full branch tree was explored.
+    outcome means the full branch tree was explored.  A caller that runs
+    several searches under one limit passes its `_Budget` as `budget`, which
+    then replaces `max_nodes` and `max_seconds`.
     """
     if g.n > ceiling:
         raise CeilingExceeded(f"orientation search supports n <= {ceiling}")
     start = time.monotonic()
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
-    budget = _Budget(max_nodes, max_seconds)
+    if budget is None:
+        budget = _Budget(max_nodes, max_seconds)
+    spent = budget.nodes
     searcher = _OrientSearch(g, budget)
     try:
         succ = searcher.search()
     except _OutOfBudget:
         return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes, time.monotonic() - start
+            BUDGET_EXHAUSTED, None, budget.nodes - spent, time.monotonic() - start
         )
     elapsed = time.monotonic() - start
     if succ is None:
-        return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
+        return SearchOutcome(REFUTED, None, budget.nodes - spent, elapsed)
     o = Orientation._from_succ(g, succ)
     if not is_semi_transitive(o):
         raise AssertionError("orientation search returned a non-semi-transitive orientation")
-    return SearchOutcome(WITNESS, o, budget.nodes, elapsed)
+    return SearchOutcome(WITNESS, o, budget.nodes - spent, elapsed)
 
 
 # -- transitive orientations (comparability) ----------------------------------
 
 
-class _TransSearch:
-    """Backtracking search for a transitive orientation.
+def _transitive_orientation(adj):
+    """Golumbic's TRO on adjacency masks: (succ, classes), with succ None
+    when an implication class meets its own reverse.
 
-    Orienting a->b forces a->c for c adjacent to a but not b, and c->b for c
-    adjacent to b but not a; 2-paths close transitively or contradict when
-    the closing edge is absent.
+    Each round takes an edge x-y that is still unoriented and closes the arc
+    x->y under Gamma-forcing in the graph of unoriented edges: a->b forces
+    a->c and c->b for every c adjacent to one end only.  The class is then
+    oriented and its edges removed.
     """
-
-    def __init__(self, g, budget):
-        self.g = g
-        self.n = g.n
-        self.adj = g.adj
-        self.succ = [0] * g.n
-        self.pred = [0] * g.n
-        self.budget = budget
-        self.edges = [(u - 1, v - 1) for u, v in g.edges()]
-
-    def _apply(self, a, b, trail):
-        if self.succ[b] >> a & 1:
-            return False
-        if self.succ[a] >> b & 1:
-            return True
-        self.succ[a] |= 1 << b
-        self.pred[b] |= 1 << a
-        trail.append((a, b))
-        return True
-
-    def _propagate(self, a, b, trail):
-        queue = [(a, b)]
-        qi = 0
-        while qi < len(queue):
-            a, b = queue[qi]
-            qi += 1
-            was_new = not (self.succ[a] >> b & 1)
-            if not self._apply(a, b, trail):
-                return False
-            if not was_new:
-                continue
-            mask_b = self.adj[b] & ~self.adj[a] & ~(1 << a)
-            for c in _bits(mask_b):
-                queue.append((c, b))
-            mask_a = self.adj[a] & ~self.adj[b] & ~(1 << b)
-            for c in _bits(mask_a):
-                queue.append((a, c))
-            for c in _bits(self.succ[b]):
-                if not self.adj[a] >> c & 1:
-                    return False
-                queue.append((a, c))
-            for c in _bits(self.pred[a]):
-                if not self.adj[c] >> b & 1:
-                    return False
-                queue.append((c, b))
-        return True
-
-    def search(self, depth=0):
-        if not self.budget.tick():
-            raise _OutOfBudget
-        while depth < len(self.edges):
-            a, b = self.edges[depth]
-            if (self.succ[a] >> b | self.succ[b] >> a) & 1:
-                depth += 1
-                continue
-            for first, second in ((a, b), (b, a)):
-                trail = []
-                if self._propagate(first, second, trail):
-                    result = self.search(depth + 1)
-                    if result is not None:
-                        return result
-                for x, y in reversed(trail):
-                    self.succ[x] &= ~(1 << y)
-                    self.pred[y] &= ~(1 << x)
-            return None
-        return list(self.succ)
+    n = len(adj)
+    rem = list(adj)
+    succ = [0] * n
+    classes = 0
+    for x in range(n):
+        while rem[x]:
+            y = (rem[x] & -rem[x]).bit_length() - 1
+            classes += 1
+            out = [0] * n  # out[a]: heads of the class's arcs from a
+            into = [0] * n  # into[b]: tails of the class's arcs into b
+            out[x], into[y] = 1 << y, 1 << x
+            stack = [(x, y)]
+            while stack:
+                a, b = stack.pop()
+                new = rem[a] & ~rem[b] & ~(1 << b) & ~out[a]
+                if new:
+                    if new & into[a]:
+                        return None, classes
+                    out[a] |= new
+                    for c in _bits(new):
+                        into[c] |= 1 << a
+                        stack.append((a, c))
+                new = rem[b] & ~rem[a] & ~(1 << a) & ~into[b]
+                if new:
+                    if new & out[b]:
+                        return None, classes
+                    into[b] |= new
+                    for c in _bits(new):
+                        out[c] |= 1 << b
+                        stack.append((c, b))
+            for v in range(n):
+                rem[v] &= ~(out[v] | into[v])
+                succ[v] |= out[v]
+    return succ, classes
 
 
-def find_transitive(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING):
-    """Search for a transitive orientation (comparability certificate)."""
+def find_transitive(g, ceiling=ORIENTATION_CEILING):
+    """Transitive orientation (comparability certificate) or refutation, by
+    Golumbic's TRO algorithm (*Algorithmic Graph Theory and Perfect Graphs*,
+    ch. 5).
+
+    TRO orients one implication class at a time and refutes the graph as
+    soon as a class contains both directions of an edge; otherwise the union
+    of the classes is transitive.  It takes polynomial time and always
+    reaches a verdict, so it takes no budget; `nodes_expanded` counts the
+    implication classes.
+    """
     if g.n > ceiling:
         raise CeilingExceeded(f"orientation search supports n <= {ceiling}")
     start = time.monotonic()
-    if g.m == 0:
-        return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
-    budget = _Budget(max_nodes, max_seconds)
-    searcher = _TransSearch(g, budget)
-    try:
-        succ = searcher.search()
-    except _OutOfBudget:
-        return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes, time.monotonic() - start
-        )
+    succ, classes = _transitive_orientation(g.adj)
     elapsed = time.monotonic() - start
     if succ is None:
-        return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
+        return SearchOutcome(REFUTED, None, classes, elapsed)
     o = Orientation._from_succ(g, succ)
     if not (is_transitive(o) and is_acyclic(o)):
         raise AssertionError("transitive search returned a non-transitive orientation")
-    return SearchOutcome(WITNESS, o, budget.nodes, elapsed)
+    return SearchOutcome(WITNESS, o, classes, elapsed)
 
 
-def is_permutationally_representable(g, **kw):
+def is_permutationally_representable(g):
     """A graph is representable by a concatenation of permutations exactly
     when it is a comparability graph."""
-    return find_transitive(g, **kw).require_conclusive().found
+    return find_transitive(g).found
 
 
-def neighborhood_filter(g, **kw):
+def neighborhood_filter(g):
     """Necessary condition: every vertex neighborhood of a word-representable
     graph is a comparability graph.  Returns the first failing vertex or None."""
     for v in g.vertices():
-        hood = induced_subgraph(g, g.neighbors(v))
-        if not find_transitive(hood, **kw).require_conclusive().found:
+        if not find_transitive(induced_subgraph(g, g.neighbors(v))).found:
             return v
     return None
 
@@ -446,10 +432,10 @@ def is_word_representable(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATI
     return outcome.require_conclusive().found
 
 
-def apex_representability_check(h, **kw):
+def apex_representability_check(h):
     """Whether the graph obtained from h by adding an all-adjacent vertex is
     word-representable; equivalent to h being permutationally representable."""
-    return is_permutationally_representable(h, **kw)
+    return is_permutationally_representable(h)
 
 
 # -- 3-colorability route ------------------------------------------------------

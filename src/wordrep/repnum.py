@@ -135,12 +135,11 @@ class _UniformSearch:
     guarantees a representant.
     """
 
-    def __init__(self, g, k, budget):
+    def __init__(self, g, k, budget, auts):
         self.k = k
         self.length = g.n * k
         self.budget = budget
         self.state = _PairState(g, [k] * g.n)
-        auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
         self.auts = [a for a in auts if any(a[i] != i for i in range(g.n))]
         self.active = list(range(len(self.auts)))  # fix word prefix pointwise
 
@@ -181,12 +180,22 @@ class _UniformSearch:
 
 
 def find_k_uniform_word(
-    g, k, max_nodes=None, max_seconds=None, length_ceiling=LENGTH_CEILING
+    g,
+    k,
+    max_nodes=None,
+    max_seconds=None,
+    length_ceiling=LENGTH_CEILING,
+    *,
+    budget=None,
+    auts=None,
 ):
     """Search for a k-uniform word representing the labeled graph g.
 
     A refuted outcome is exhaustive over all k-uniform words; neither
     symmetry reduction (automorphisms, cyclic shifts) prunes the last witness.
+    A caller that searches several k passes its `_Budget` as `budget`, which
+    then replaces `max_nodes` and `max_seconds`, and the list
+    `automorphisms(g, limit=AUTOMORPHISM_CAP)` as `auts`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -197,20 +206,24 @@ def find_k_uniform_word(
     start = time.monotonic()
     if g.n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0)
-    budget = _Budget(max_nodes, max_seconds)
-    searcher = _UniformSearch(g, k, budget)
+    if budget is None:
+        budget = _Budget(max_nodes, max_seconds)
+    if auts is None:
+        auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
+    spent = budget.nodes
+    searcher = _UniformSearch(g, k, budget, auts)
     try:
         witness = searcher.search()
     except _OutOfBudget:
         return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes, time.monotonic() - start
+            BUDGET_EXHAUSTED, None, budget.nodes - spent, time.monotonic() - start
         )
     elapsed = time.monotonic() - start
     if witness is None:
-        return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
+        return SearchOutcome(REFUTED, None, budget.nodes - spent, elapsed)
     if word_to_graph(witness) != g:
         raise AssertionError("uniform search returned a non-representing word")
-    return SearchOutcome(WITNESS, witness, budget.nodes, elapsed)
+    return SearchOutcome(WITNESS, witness, budget.nodes - spent, elapsed)
 
 
 def representation_number(g, max_nodes=None, max_seconds=None):
@@ -218,17 +231,23 @@ def representation_number(g, max_nodes=None, max_seconds=None):
     orientation search refutes representability outright.
 
     Every non-complete representable graph is 2(n - clique number)-uniform
-    representable, so the loop is capped by that bound.
+    representable, so the loop is capped by that bound.  `max_nodes` and
+    `max_seconds` bound the whole call: the orientation search and every
+    uniform search share one budget.
     """
-    from .orientation import is_word_representable
+    from .orientation import ORIENTATION_CEILING, find_semi_transitive, neighborhood_filter
 
-    if not is_word_representable(g, max_nodes=max_nodes, max_seconds=max_seconds):
+    if g.n > ORIENTATION_CEILING:
+        raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
+    budget = _Budget(max_nodes, max_seconds)
+    if neighborhood_filter(g) is not None:
         return math.inf
+    if not find_semi_transitive(g, budget=budget).require_conclusive().found:
+        return math.inf
+    auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
     bound = max(1, 2 * (g.n - max_clique_size(g)))
     for k in range(1, bound + 1):
-        outcome = find_k_uniform_word(
-            g, k, max_nodes=max_nodes, max_seconds=max_seconds
-        ).require_conclusive()
+        outcome = find_k_uniform_word(g, k, budget=budget, auts=auts).require_conclusive()
         if outcome.found:
             return k
     raise AssertionError(

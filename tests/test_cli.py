@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordrep import families
 from wordrep.cli import main, parse_graph, parse_word
+from wordrep.families import FAMILY_NAMES
 from wordrep.graphs import Graph
 from wordrep.io import to_graph6
 
@@ -175,3 +181,112 @@ def test_deterministic_output(capsys):
     b, _ = run(capsys, "represent", "family:cycle:6", "--k", "2")
     a.pop("stats"), b.pop("stats")
     assert a == b
+
+
+# -- malformed graph specs -------------------------------------------------------
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return text != ""  # an empty parameter means none
+    return False
+
+
+_NAMES = st.sampled_from(FAMILY_NAMES)
+_NO_COLON = st.text(max_size=8).filter(lambda s: ":" not in s)
+
+
+@st.composite
+def _bad_edges(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [
+        f"{u}-{v}"
+        for u, v in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
+        if u != v
+    ]
+    u = draw(st.integers(1, n))
+    bad = draw(
+        st.sampled_from(
+            [f"{u}-{u}", f"{u}-{n + 1}", f"0-{u}", f"{u}", f"{u}-{u}-{u}", f"{u}-x", f"{u}-"]
+        )
+    )
+    pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return f"edges:{n}:" + ",".join(pairs)
+
+
+_SPECS = st.one_of(
+    # a family with a parameter that is no integer, or an unknown family
+    st.builds("family:{}:{}".format, _NAMES, _NO_COLON.filter(_not_an_int)),
+    st.builds("family:{}".format, _NO_COLON.filter(lambda s: s not in FAMILY_NAMES)),
+    st.builds("family:petersen:{}".format, st.integers(1, 99)),
+    # an edge list with one bad pair, or a vertex count that is no count
+    _bad_edges(),
+    st.builds("edges:{}".format, st.integers(-99, -1)),
+    st.builds("edges:{}:1-2".format, _NO_COLON.filter(_not_an_int)),
+)
+
+
+@st.composite
+def _bad_graph6(draw):
+    """A graph6 line with a header out of range, a short body or a bad byte."""
+    n = draw(st.integers(2, 12))
+    body = [chr(63 + draw(st.integers(0, 63))) for _ in range((n * (n - 1) // 2 + 5) // 6)]
+    kind = draw(st.sampled_from(["header", "short", "byte"]))
+    if kind == "header":
+        return chr(draw(st.integers(33, 62))) + "".join(body)
+    if kind == "short":
+        return chr(n + 63) + "".join(body[: draw(st.integers(0, len(body) - 1))])
+    body[draw(st.integers(0, len(body) - 1))] = chr(draw(st.integers(33, 62)))
+    return chr(n + 63) + "".join(body)
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+_COMMANDS = st.sampled_from(["decide", "orient", "repnum", "represent"])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_COMMANDS, _SPECS)
+def test_malformed_specs_exit_2_without_traceback(command, spec):
+    code, text = _main_quietly([command, spec])
+    assert code == 2, spec
+    assert "Traceback" not in text and "error" in text
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_COMMANDS, _bad_graph6(), st.sampled_from([".g6", ".graph6", ""]))
+def test_malformed_graph6_files_exit_2_without_traceback(command, line, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad" + suffix)
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+        code, text = _main_quietly([command, path])
+    assert code == 2, line
+    assert "Traceback" not in text and "error" in text
+
+
+def test_malformed_files_exit_2(tmp_path):
+    cases = {
+        "count.txt": "3 2\n1 2\n",  # two edges announced, one given
+        "loop.txt": "3 1\n2 2\n",
+        "wide.txt": "3 1\n1 2 3\n",
+        "empty.g6": "",
+        "binary.g6": b"\xff\xfe\x00",
+    }
+    for name, content in cases.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, text = _main_quietly(["decide", str(path)])
+        assert code == 2 and "Traceback" not in text, name
+    code, text = _main_quietly(["decide", str(tmp_path / "missing.g6")])
+    assert code == 2 and "Traceback" not in text

@@ -380,3 +380,29 @@ def test_induced_subgraph_and_delete():
     g = families.wheel(5)
     assert is_isomorphic(induced_subgraph(g, [1, 2, 3, 4, 5]), families.cycle(5))
     assert is_isomorphic(delete_vertex(g, 6), families.cycle(5))
+
+
+def reference_induced_subgraph(g, keep):
+    """`induced_subgraph` as it was before it was built from masks."""
+    keep = sorted(set(keep))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (index[u] + 1, index[v] + 1)
+        for u, v in itertools.combinations(keep, 2)
+        if g.has_edge(u, v)
+    ]
+    return Graph(len(keep), edges)
+
+
+def test_induced_subgraph_matches_reference(rng):
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+        keep = [v for v in g.vertices() if rng.random() < 0.6]
+        rng.shuffle(keep)
+        keep += keep[: rng.randint(0, len(keep))]  # repeats collapse
+        assert induced_subgraph(g, keep) == reference_induced_subgraph(g, keep)
+    with pytest.raises(ValueError):
+        induced_subgraph(families.cycle(4), [1, 5])
+    with pytest.raises(ValueError):
+        induced_subgraph(families.cycle(4), [0, 2])

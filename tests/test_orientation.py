@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,18 @@ import pytest
 
 from conftest import words_over
 from wordrep import families
-from wordrep.graphs import CeilingExceeded, Graph, add_apex, line_graph
+from wordrep.graphs import (
+    CeilingExceeded,
+    Graph,
+    _bits,
+    add_apex,
+    induced_subgraph,
+    is_connected,
+    line_graph,
+)
 from wordrep.orientation import (
     Orientation,
+    _OrientSearch,
     apex_representability_check,
     find_semi_transitive,
     find_transitive,
@@ -24,7 +34,7 @@ from wordrep.orientation import (
     three_color,
     word_to_orientation,
 )
-from wordrep.outcome import BudgetExhausted
+from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
 from wordrep.words import word_to_graph
 
 
@@ -342,7 +352,7 @@ def raises(call):
 orientation._OrientSearch.search = lambda self: [0b010, 0b100, 0b001]
 semi = raises(lambda: orientation.find_semi_transitive(families.cycle(3)))
 # 1->2->3 without the arc 1->3 is not transitive
-orientation._TransSearch.search = lambda self: [0b010, 0b100, 0b000]
+orientation._transitive_orientation = lambda adj: ([0b010, 0b100, 0b000], 1)
 trans = raises(lambda: orientation.find_transitive(families.path(3)))
 # blind to neighbours, the coloring search paints K3 with one color
 orientation._bits = lambda mask: iter(())
@@ -365,3 +375,237 @@ def test_witness_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True", "True"]
+
+
+# -- references from before the bitmask rewrite ----------------------------------
+#
+# The transitive-orientation backtracker that TRO replaced, and the
+# semi-transitive search's arc application and propagation as they were
+# before they moved onto mask operations, kept verbatim apart from their
+# names.
+
+
+class _ReferenceTransSearch:
+    """Backtracking search for a transitive orientation.
+
+    Orienting a->b forces a->c for c adjacent to a but not b, and c->b for c
+    adjacent to b but not a; 2-paths close transitively or contradict when
+    the closing edge is absent.
+    """
+
+    def __init__(self, g, budget):
+        self.g = g
+        self.n = g.n
+        self.adj = g.adj
+        self.succ = [0] * g.n
+        self.pred = [0] * g.n
+        self.budget = budget
+        self.edges = [(u - 1, v - 1) for u, v in g.edges()]
+
+    def _apply(self, a, b, trail):
+        if self.succ[b] >> a & 1:
+            return False
+        if self.succ[a] >> b & 1:
+            return True
+        self.succ[a] |= 1 << b
+        self.pred[b] |= 1 << a
+        trail.append((a, b))
+        return True
+
+    def _propagate(self, a, b, trail):
+        queue = [(a, b)]
+        qi = 0
+        while qi < len(queue):
+            a, b = queue[qi]
+            qi += 1
+            was_new = not (self.succ[a] >> b & 1)
+            if not self._apply(a, b, trail):
+                return False
+            if not was_new:
+                continue
+            mask_b = self.adj[b] & ~self.adj[a] & ~(1 << a)
+            for c in _bits(mask_b):
+                queue.append((c, b))
+            mask_a = self.adj[a] & ~self.adj[b] & ~(1 << b)
+            for c in _bits(mask_a):
+                queue.append((a, c))
+            for c in _bits(self.succ[b]):
+                if not self.adj[a] >> c & 1:
+                    return False
+                queue.append((a, c))
+            for c in _bits(self.pred[a]):
+                if not self.adj[c] >> b & 1:
+                    return False
+                queue.append((c, b))
+        return True
+
+    def search(self, depth=0):
+        if not self.budget.tick():
+            raise _OutOfBudget
+        while depth < len(self.edges):
+            a, b = self.edges[depth]
+            if (self.succ[a] >> b | self.succ[b] >> a) & 1:
+                depth += 1
+                continue
+            for first, second in ((a, b), (b, a)):
+                trail = []
+                if self._propagate(first, second, trail):
+                    result = self.search(depth + 1)
+                    if result is not None:
+                        return result
+                for x, y in reversed(trail):
+                    self.succ[x] &= ~(1 << y)
+                    self.pred[y] &= ~(1 << x)
+            return None
+        return list(self.succ)
+
+
+def reference_trans_search(g):
+    """The old search's verdict: is g a comparability graph?"""
+    if g.m == 0:
+        return True
+    return _ReferenceTransSearch(g, _Budget()).search() is not None
+
+
+class _ReferenceOrientSearch(_OrientSearch):
+    def _reaches(self, src, dst):
+        seen = 1 << src
+        frontier = seen
+        target = 1 << dst
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= self.succ[v]
+            if nxt & target:
+                return True
+            frontier = nxt & ~seen
+            seen |= frontier
+        return False
+
+    def _apply(self, a, b, trail):
+        """Add arc a->b if consistent; record on trail.  False on conflict."""
+        if self.succ[b] >> a & 1:
+            return False  # already oriented the other way
+        if self.succ[a] >> b & 1:
+            return True
+        if self._reaches(b, a):
+            return False  # would close a directed cycle
+        self.succ[a] |= 1 << b
+        self.pred[b] |= 1 << a
+        trail.append((a, b))
+        return True
+
+    def _propagate(self, a, b, trail):
+        """Force consequences of arc a->b; False on contradiction."""
+        queue = [(a, b)]
+        qi = 0
+        while qi < len(queue):
+            a, b = queue[qi]
+            qi += 1
+            if self.succ[a] >> b & 1:
+                continue  # already applied, consequences already queued
+            if not self._apply(a, b, trail):
+                return False
+            # triangle closure
+            for c in _bits(self.adj[a] & self.adj[b]):
+                if self.succ[c] >> a & 1:
+                    queue.append((c, b))
+                if self.succ[b] >> c & 1:
+                    queue.append((a, c))
+            # quadrilateral completion around every new 2-path through a->b
+            for u, x, v in self._two_paths(a, b):
+                uv_adjacent = self.adj[u] >> v & 1
+                for w in _bits(self.adj[u] & self.adj[v] & ~(1 << x)):
+                    if uv_adjacent and self.adj[w] >> x & 1:
+                        continue
+                    queue.append((u, w))
+                    queue.append((w, v))
+        return True
+
+    def _two_paths(self, a, b):
+        for p in _bits(self.pred[a]):
+            yield p, a, b
+        for s in _bits(self.succ[b]):
+            yield a, b, s
+
+
+def reference_semi_transitive(g):
+    """(succ or None, nodes) of the search with the old propagation."""
+    budget = _Budget()
+    return _ReferenceOrientSearch(g, budget).search(), budget.nodes
+
+
+def _atlas():
+    import networkx as nx
+
+    out = []
+    for h in nx.graph_atlas_g():
+        index = {v: i + 1 for i, v in enumerate(h.nodes())}
+        out.append(Graph(h.number_of_nodes(), [(index[u], index[v]) for u, v in h.edges()]))
+    return out
+
+
+def _random_connected(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(9, 12)
+        p = rng.uniform(0.3, 0.8)
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+def test_find_transitive_matches_reference_search():
+    for g in _atlas():
+        assert find_transitive(g).found == reference_trans_search(g), g
+    hoods = 0
+    for g in _random_connected(300, seed=11):
+        for v in g.vertices():
+            hood = induced_subgraph(g, g.neighbors(v))
+            assert find_transitive(hood).found == reference_trans_search(hood), (g, v)
+            hoods += 1
+    assert hoods > 2500
+
+
+def _brute_force_comparability(g):
+    """Whether some orientation of g, out of all 2^m, is transitive."""
+    edges = g.edges()
+    for mask in range(1 << len(edges)):
+        arcs = {(u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)}
+        if all((a, c) in arcs for a, b in arcs for b2, c in arcs if b == b2):
+            return True
+    return False
+
+
+def test_find_transitive_matches_brute_force():
+    from conftest import all_labeled_graphs
+
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert find_transitive(g).found == _brute_force_comparability(g), g
+    assert not _brute_force_comparability(families.cycle(5))  # it can refute
+
+
+def test_find_transitive_counts_implication_classes():
+    # one class per round, each taken in the graph of the edges still
+    # unoriented: P3 and C4 are one class; K3 has no non-edge, so 1->2 is a
+    # class alone, after which 1->3 forces 2->3 in the path that is left
+    assert find_transitive(families.path(3)).nodes_expanded == 1
+    assert find_transitive(families.cycle(4)).nodes_expanded == 1
+    assert find_transitive(families.complete(3)).nodes_expanded == 2
+    assert find_transitive(Graph(4, [(1, 2), (3, 4)])).nodes_expanded == 2
+    assert find_transitive(families.empty(3)).nodes_expanded == 0
+
+
+def test_semi_transitive_search_matches_reference_propagation():
+    graphs = [g for g in _atlas() if g.m and is_connected(g)]
+    graphs += _random_connected(300, seed=12)
+    for g in graphs:
+        out = find_semi_transitive(g)
+        succ, nodes = reference_semi_transitive(g)
+        assert out.nodes_expanded == nodes, g
+        assert (out.witness.succ if out.found else None) == (
+            tuple(succ) if succ is not None else None
+        ), g

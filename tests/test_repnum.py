@@ -9,7 +9,7 @@ from conftest import relabel
 from wordrep import families
 from wordrep.enumeration import generate
 from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms
-from wordrep.outcome import _Budget, _OutOfBudget
+from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
     count_pattern_avoiding_representants,
@@ -579,3 +579,36 @@ def test_cyclic_shift_and_reversal_keep_the_graph(w, shift):
     g = word_to_graph(w)
     assert set(g.edges()) == edges
     assert word_to_graph(shifted) == g == word_to_graph(w[::-1])
+
+
+# -- one budget and one automorphism group per call -------------------------------
+
+
+def test_representation_number_budget_covers_the_whole_call(monkeypatch):
+    # the orientation search and every k share one budget: Petersen refutes
+    # k = 2 in 88,363 nodes and needs more than the rest for k = 3
+    ticks = 0
+    tick = _Budget.tick
+
+    def counted(self):
+        nonlocal ticks
+        ticks += 1
+        return tick(self)
+
+    monkeypatch.setattr(_Budget, "tick", counted)
+    for max_nodes in (20_000, 200_000):
+        ticks = 0
+        with pytest.raises(BudgetExhausted):
+            representation_number(families.petersen(), max_nodes=max_nodes)
+        assert ticks <= max_nodes + 1, max_nodes
+
+
+def test_representation_number_computes_automorphisms_once(monkeypatch):
+    from wordrep import repnum
+
+    calls = []
+    monkeypatch.setattr(
+        repnum, "automorphisms", lambda g, limit=None: calls.append(g) or automorphisms(g, limit)
+    )
+    assert representation_number(families.prism(3)) == 3  # tries k = 1, 2, 3
+    assert len(calls) == 1
