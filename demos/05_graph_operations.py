@@ -7,12 +7,12 @@ module substitutions preserve it.
 
 from wordrep import (
     add_apex,
-    apex_representability_check,
     cartesian_product,
     complement,
     contains_induced,
     disjoint_union,
     is_isomorphic,
+    is_permutationally_representable,
     is_word_representable,
     representation_number,
     rooted_product,
@@ -31,7 +31,7 @@ for base in (families.cycle(5), families.cycle(6), families.complete(3)):
     wheelish = add_apex(base)
     print(
         f"apex over C-base on {base.n}: base permutationally representable ="
-        f" {apex_representability_check(base)},"
+        f" {is_permutationally_representable(base)},"
         f" apexed graph representable = {is_word_representable(wheelish)}"
     )
 print()

@@ -15,7 +15,6 @@ from .graphs import (
     contract_edge,
     delete_vertex,
     disjoint_union,
-    from_edge_list,
     glue_at_vertex,
     induced_subgraph,
     is_connected,
@@ -28,7 +27,6 @@ from .graphs import (
 )
 from .orientation import (
     Orientation,
-    apex_representability_check,
     find_semi_transitive,
     find_transitive,
     is_acyclic,

@@ -20,10 +20,9 @@ import sys
 
 from . import families, io
 from .enumeration import (
-    census,
-    count_non_representable,
+    _minimal,
     generate,
-    minimal_non_representable,
+    non_representable_members,
 )
 from .graphs import (
     Graph,
@@ -44,8 +43,9 @@ from .orientation import (
     is_word_representable,
     word_to_orientation,
 )
-from .outcome import BudgetExhausted
+from .outcome import BudgetExhausted, _Budget
 from .repnum import (
+    _representation,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
     find_pattern_avoiding_word,
@@ -192,13 +192,12 @@ def cmd_represent(args):
             "stats": stats_payload(outcome),
         }
         return payload, EXIT_OK if outcome.found else EXIT_NEGATIVE
-    k = representation_number(g, **_budget_kw(args))
-    if k == float("inf"):
+    k, witness = _representation(g, _Budget(**_budget_kw(args)))
+    if witness is None:
         return {"verdict": False, "witness_word": None}, EXIT_NEGATIVE
-    outcome = find_k_uniform_word(g, k)
     return {
         "verdict": True,
-        "witness_word": format_word(outcome.witness),
+        "witness_word": format_word(witness),
         "k": k,
     }, EXIT_OK
 
@@ -275,14 +274,15 @@ def cmd_enumerate(args):
         )
     corpus = generate(args.n, connected=not args.all)
     payload = {"n": args.n, "corpus_size": len(corpus), "connected": not args.all}
+    if args.count_nonrep or args.minimal:
+        # one census answers both questions
+        members = non_representable_members(
+            corpus, jobs=args.jobs, checkpoint=checkpoint, **_budget_kw(args)
+        )
     if args.count_nonrep:
-        payload["count_non_representable"] = count_non_representable(
-            corpus, jobs=args.jobs, checkpoint=checkpoint, **_budget_kw(args)
-        )
+        payload["count_non_representable"] = len(members)
     if args.minimal:
-        minimal = minimal_non_representable(
-            corpus, jobs=args.jobs, checkpoint=checkpoint, **_budget_kw(args)
-        )
+        minimal = _minimal(members, **_budget_kw(args))
         payload["minimal_non_representable"] = [io.to_graph6(g) for g in minimal]
         payload["minimal_count"] = len(minimal)
     if args.list:

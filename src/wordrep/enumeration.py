@@ -10,13 +10,21 @@ line-oriented checkpoint file makes long runs resumable.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .graphs import CeilingExceeded, Graph, canonical_form, is_connected, _from_masks
-from .orientation import find_semi_transitive, neighborhood_filter
-from .outcome import BudgetExhausted
+from .graphs import (
+    CeilingExceeded,
+    Graph,
+    canonical_form,
+    delete_vertex,
+    is_connected,
+    _from_masks,
+)
+from .orientation import _decide, is_word_representable
+from .outcome import BudgetExhausted, _Budget
 
 GENERATION_CEILING = 8
 FINAL_VERDICTS = ("representable", "non_representable")
@@ -90,10 +98,7 @@ def decide_graph(task):
     "non_representable", or "budget" when inconclusive.
     """
     key, n, edges, max_nodes, max_seconds = task
-    g = Graph(n, edges)
-    if neighborhood_filter(g) is not None:
-        return key, "non_representable", 0
-    outcome = find_semi_transitive(g, max_nodes=max_nodes, max_seconds=max_seconds)
+    outcome = _decide(Graph(n, edges), _Budget(max_nodes, max_seconds))
     if not outcome.conclusive:
         return key, "budget", outcome.nodes_expanded
     verdict = "representable" if outcome.found else "non_representable"
@@ -153,32 +158,22 @@ def _census(
         keys.append(key)
         if key not in verdicts:
             todo.append((key, g.n, tuple(g.edges()), max_nodes, max_seconds))
-    sink = open(checkpoint, "a") if checkpoint else None
-    if torn:
-        sink.write("\n")  # never glue a new line onto a cut-off one
-    try:
+    with contextlib.ExitStack() as stack:
+        sink = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
+        if torn:
+            sink.write("\n")  # never glue a new line onto a cut-off one
         if jobs > 1 and len(todo) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.imap_unordered(decide_graph, todo, chunksize=8)
-                for i, (key, verdict, nodes) in enumerate(results):
-                    verdicts[key] = verdict
-                    if sink:
-                        sink.write(f"{key}\t{verdict}\t{nodes}\n")
-                        sink.flush()
-                    if progress:
-                        progress(i + 1, len(todo))
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            results = pool.imap_unordered(decide_graph, todo, chunksize=8)
         else:
-            for i, task in enumerate(todo):
-                key, verdict, nodes = decide_graph(task)
-                verdicts[key] = verdict
-                if sink:
-                    sink.write(f"{key}\t{verdict}\t{nodes}\n")
-                    sink.flush()
-                if progress:
-                    progress(i + 1, len(todo))
-    finally:
-        if sink:
-            sink.close()
+            results = map(decide_graph, todo)
+        for i, (key, verdict, nodes) in enumerate(results):
+            verdicts[key] = verdict
+            if sink:
+                sink.write(f"{key}\t{verdict}\t{nodes}\n")
+                sink.flush()
+            if progress:
+                progress(i + 1, len(todo))
     out = {}
     undecided = 0
     for key in keys:
@@ -210,13 +205,20 @@ def non_representable_members(corpus, **kw):
 def minimal_non_representable(corpus, **kw):
     """Non-representable members all of whose vertex-deleted subgraphs are
     representable."""
-    from .graphs import delete_vertex
-    from .orientation import is_word_representable
+    members = non_representable_members(corpus, **kw)
+    return _minimal(members, kw.get("max_nodes"), kw.get("max_seconds"))
 
+
+def _minimal(members, max_nodes=None, max_seconds=None):
+    """The non-representable `members` all of whose vertex-deleted subgraphs
+    are representable.  Like the census, each subgraph's decision gets
+    `max_nodes` and `max_seconds`, and raises BudgetExhausted when it cannot
+    finish within them."""
     minimal = []
-    for g in non_representable_members(corpus, **kw):
+    for g in members:
         if all(
-            is_word_representable(delete_vertex(g, v)) for v in g.vertices()
+            is_word_representable(delete_vertex(g, v), max_nodes, max_seconds)
+            for v in g.vertices()
         ):
             minimal.append(g)
     return minimal

@@ -92,11 +92,6 @@ def _bits(mask):
         mask ^= low
 
 
-def from_edge_list(n, edges):
-    """Build a Graph from unordered vertex pairs; duplicates collapse."""
-    return Graph(n, edges)
-
-
 # -- unary operations ------------------------------------------------------
 
 

@@ -23,12 +23,11 @@ import time
 
 from .graphs import CeilingExceeded, induced_subgraph, _bits
 from .outcome import (
-    BUDGET_EXHAUSTED,
     REFUTED,
     WITNESS,
     SearchOutcome,
     _Budget,
-    _OutOfBudget,
+    run_search,
 )
 from .words import word_to_graph
 
@@ -45,17 +44,13 @@ class Orientation:
     __slots__ = ("graph", "succ")
 
     def __init__(self, graph, arcs):
+        arcs = list(arcs)
         succ = [0] * graph.n
-        seen = set()
         for u, v in arcs:
             if not graph.has_edge(u, v):
                 raise ValueError(f"arc ({u},{v}) is not an edge of the base graph")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"edge {key} oriented twice")
-            seen.add(key)
             succ[u - 1] |= 1 << (v - 1)
-        if len(seen) != graph.m:
+        if len(arcs) != graph.m or not _orients_each_edge_once(graph.adj, succ):
             raise ValueError("orientation must cover every edge exactly once")
         self.graph = graph
         self.succ = tuple(succ)
@@ -105,6 +100,20 @@ def topological_order(o):
 
 def is_acyclic(o):
     return topological_order(o) is not None
+
+
+def _orients_each_edge_once(adj, succ):
+    """Whether the arcs `succ` lie on edges of `adj` and orient every edge
+    exactly once."""
+    pred = [0] * len(adj)
+    for u, s in enumerate(succ):
+        if s & ~adj[u]:
+            return False
+        for v in _bits(s):
+            pred[v] |= 1 << u
+    # given the arcs lie on edges, an edge oriented twice or not at all
+    # leaves its bit out of succ ^ pred
+    return all(s ^ p == a for s, p, a in zip(succ, pred, adj))
 
 
 def is_transitive(o):
@@ -277,8 +286,7 @@ class _OrientSearch:
         return self._extend(0)
 
     def _extend(self, depth):
-        if not self.budget.tick():
-            raise _OutOfBudget
+        self.budget.tick()
         while depth < len(self.edges):
             a, b = self.edges[depth]
             if self.oriented(a, b):
@@ -312,26 +320,20 @@ def find_semi_transitive(
     """
     if g.n > ceiling:
         raise CeilingExceeded(f"orientation search supports n <= {ceiling}")
-    start = time.monotonic()
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
-    spent = budget.nodes
-    searcher = _OrientSearch(g, budget)
-    try:
-        succ = searcher.search()
-    except _OutOfBudget:
-        return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes - spent, time.monotonic() - start
-        )
-    elapsed = time.monotonic() - start
-    if succ is None:
-        return SearchOutcome(REFUTED, None, budget.nodes - spent, elapsed)
-    o = Orientation._from_succ(g, succ)
-    if not is_semi_transitive(o):
-        raise AssertionError("orientation search returned a non-semi-transitive orientation")
-    return SearchOutcome(WITNESS, o, budget.nodes - spent, elapsed)
+
+    def kernel():
+        succ = _OrientSearch(g, budget).search()
+        return None if succ is None else Orientation._from_succ(g, succ)
+
+    return run_search(
+        kernel,
+        budget,
+        lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
+    )
 
 
 # -- transitive orientations (comparability) ----------------------------------
@@ -400,9 +402,11 @@ def find_transitive(g, ceiling=ORIENTATION_CEILING):
     elapsed = time.monotonic() - start
     if succ is None:
         return SearchOutcome(REFUTED, None, classes, elapsed)
+    # no acyclicity test: on a shortest directed cycle, transitivity closes a
+    # shorter one, down to both directions of one edge, which the first rules out
     o = Orientation._from_succ(g, succ)
-    if not (is_transitive(o) and is_acyclic(o)):
-        raise AssertionError("transitive search returned a non-transitive orientation")
+    if not (_orients_each_edge_once(g.adj, succ) and is_transitive(o)):
+        raise AssertionError("TRO returned no transitive orientation of the graph")
     return SearchOutcome(WITNESS, o, classes, elapsed)
 
 
@@ -421,21 +425,21 @@ def neighborhood_filter(g):
     return None
 
 
-def is_word_representable(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING):
-    """Decide word-representability: fast neighborhood refutation first, then
-    the full semi-transitive orientation search."""
+def _decide(g, budget, ceiling=ORIENTATION_CEILING):
+    """The decision procedure: a refutation with no search nodes when some
+    neighborhood is not a comparability graph, else the semi-transitive
+    orientation search, whose witness is the certificate."""
     if g.n > ceiling:
         raise CeilingExceeded(f"decision supports n <= {ceiling}")
     if neighborhood_filter(g) is not None:
-        return False
-    outcome = find_semi_transitive(g, max_nodes, max_seconds, ceiling)
-    return outcome.require_conclusive().found
+        return SearchOutcome(REFUTED)
+    return find_semi_transitive(g, budget=budget, ceiling=ceiling)
 
 
-def apex_representability_check(h):
-    """Whether the graph obtained from h by adding an all-adjacent vertex is
-    word-representable; equivalent to h being permutationally representable."""
-    return is_permutationally_representable(h)
+def is_word_representable(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING):
+    """Decide word-representability: fast neighborhood refutation first, then
+    the full semi-transitive orientation search."""
+    return _decide(g, _Budget(max_nodes, max_seconds), ceiling).require_conclusive().found
 
 
 # -- 3-colorability route ------------------------------------------------------
@@ -449,14 +453,12 @@ def three_color(g, max_nodes=None, max_seconds=None):
     """
     if g.n > THREE_COLOR_CEILING:
         raise CeilingExceeded(f"3-coloring supports n <= {THREE_COLOR_CEILING}")
-    start = time.monotonic()
     budget = _Budget(max_nodes, max_seconds)
     order = sorted(range(g.n), key=lambda v: -bin(g.adj[v]).count("1"))
     color = [0] * g.n  # 0 = uncolored
 
     def assign(i, palette):
-        if not budget.tick():
-            raise _OutOfBudget
+        budget.tick()
         if i == g.n:
             return True
         v = order[i]
@@ -470,18 +472,11 @@ def three_color(g, max_nodes=None, max_seconds=None):
             color[v] = 0
         return False
 
-    try:
-        ok = assign(0, 0)
-    except _OutOfBudget:
-        return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes, time.monotonic() - start
-        )
-    elapsed = time.monotonic() - start
-    if not ok:
-        return SearchOutcome(REFUTED, None, budget.nodes, elapsed)
-    if any(color[u - 1] == color[v - 1] for u, v in g.edges()):
-        raise AssertionError("3-coloring search returned an improper coloring")
-    return SearchOutcome(WITNESS, tuple(color), budget.nodes, elapsed)
+    return run_search(
+        lambda: tuple(color) if assign(0, 0) else None,
+        budget,
+        lambda c: all(c[u - 1] != c[v - 1] for u, v in g.edges()),
+    )
 
 
 def orientation_from_coloring(g, coloring):

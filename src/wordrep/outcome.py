@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,7 +48,8 @@ class SearchOutcome:
 
 
 class _OutOfBudget(Exception):
-    """Raised inside a search when `_Budget.tick` says the budget is spent."""
+    """Raised by `_Budget.tick` once the budget is spent; `run_search`
+    catches it."""
 
 
 class _Budget:
@@ -56,20 +58,39 @@ class _Budget:
     __slots__ = ("max_nodes", "deadline", "nodes")
 
     def __init__(self, max_nodes=None, max_seconds=None):
-        import time
-
         self.max_nodes = max_nodes
         self.deadline = time.monotonic() + max_seconds if max_seconds else None
         self.nodes = 0
 
     def tick(self):
-        """Count one node; True while within budget."""
+        """Count one node; raise `_OutOfBudget` once the budget is spent,
+        else return True."""
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            return False
+            raise _OutOfBudget
         if self.deadline is not None and self.nodes % 256 == 0:
-            import time
-
             if time.monotonic() > self.deadline:
-                return False
+                raise _OutOfBudget
         return True
+
+
+def run_search(kernel, budget, verify, detail=None):
+    """Run `kernel()`, which returns a witness or, after its whole tree, None,
+    and which `budget.tick()` stops when the budget is spent.
+
+    `nodes_expanded` counts this call's share of a budget that several
+    searches may spend.  A witness that `verify` rejects is a defect of the
+    search, so it raises `AssertionError` rather than being returned.
+    """
+    start = time.monotonic()
+    spent = budget.nodes
+    witness = None
+    try:
+        witness = kernel()
+        status = REFUTED if witness is None else WITNESS
+    except _OutOfBudget:
+        status = BUDGET_EXHAUSTED
+    elapsed = time.monotonic() - start
+    if witness is not None and not verify(witness):
+        raise AssertionError(f"search returned a witness that fails its check: {witness!r}")
+    return SearchOutcome(status, witness, budget.nodes - spent, elapsed, detail or {})

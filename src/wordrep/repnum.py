@@ -29,15 +29,15 @@ import time
 from itertools import permutations
 
 from .graphs import CeilingExceeded, automorphisms, max_clique_size, _bits
+from .orientation import ORIENTATION_CEILING, _decide
 from .outcome import (
-    BUDGET_EXHAUSTED,
     REFUTED,
     WITNESS,
     SearchOutcome,
     _Budget,
-    _OutOfBudget,
+    run_search,
 )
-from .words import as_pattern, word_to_graph
+from .words import as_pattern, contains_pattern, word_to_graph
 
 LENGTH_CEILING = 36
 AUTOMORPHISM_CAP = 2048
@@ -144,8 +144,7 @@ class _UniformSearch:
         self.active = list(range(len(self.auts)))  # fix word prefix pointwise
 
     def search(self):
-        if not self.budget.tick():
-            raise _OutOfBudget
+        self.budget.tick()
         state = self.state
         if len(state.word) == self.length:
             return tuple(state.word)
@@ -203,27 +202,14 @@ def find_k_uniform_word(
         raise CeilingExceeded(
             f"word length {g.n * k} exceeds ceiling {length_ceiling}"
         )
-    start = time.monotonic()
     if g.n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
     if auts is None:
         auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
-    spent = budget.nodes
     searcher = _UniformSearch(g, k, budget, auts)
-    try:
-        witness = searcher.search()
-    except _OutOfBudget:
-        return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes - spent, time.monotonic() - start
-        )
-    elapsed = time.monotonic() - start
-    if witness is None:
-        return SearchOutcome(REFUTED, None, budget.nodes - spent, elapsed)
-    if word_to_graph(witness) != g:
-        raise AssertionError("uniform search returned a non-representing word")
-    return SearchOutcome(WITNESS, witness, budget.nodes - spent, elapsed)
+    return run_search(searcher.search, budget, lambda w: word_to_graph(w) == g)
 
 
 def representation_number(g, max_nodes=None, max_seconds=None):
@@ -235,21 +221,20 @@ def representation_number(g, max_nodes=None, max_seconds=None):
     `max_seconds` bound the whole call: the orientation search and every
     uniform search share one budget.
     """
-    from .orientation import ORIENTATION_CEILING, find_semi_transitive, neighborhood_filter
+    return _representation(g, _Budget(max_nodes, max_seconds))[0]
 
-    if g.n > ORIENTATION_CEILING:
-        raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
-    budget = _Budget(max_nodes, max_seconds)
-    if neighborhood_filter(g) is not None:
-        return math.inf
-    if not find_semi_transitive(g, budget=budget).require_conclusive().found:
-        return math.inf
+
+def _representation(g, budget):
+    """`representation_number` under `budget`, returned with a k-uniform
+    representant for the least k (None when g is not representable)."""
+    if not _decide(g, budget, ORIENTATION_CEILING).require_conclusive().found:
+        return math.inf, None
     auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
     bound = max(1, 2 * (g.n - max_clique_size(g)))
     for k in range(1, bound + 1):
         outcome = find_k_uniform_word(g, k, budget=budget, auts=auts).require_conclusive()
         if outcome.found:
-            return k
+            return k, outcome.witness
     raise AssertionError(
         "representable graph had no witness within the uniform bound"
     )
@@ -259,55 +244,29 @@ def representation_number(g, max_nodes=None, max_seconds=None):
 
 
 def _ends_with_occurrence(word, z, t):
-    """Would some occurrence of pattern t end at letter z appended to word?"""
-    m = len(t)
-    L = len(word)
-    if L + 1 < m:
-        return False
-    if m == 3:
-        # specialize the two patterns with completeness guarantees
-        if t == (1, 3, 2):
-            lo = None
-            for c in word:
-                if lo is not None and lo < z and c > z:
-                    return True
-                if lo is None or c < lo:
-                    lo = c
-            return False
-        if t == (1, 2, 3):
-            lo = None
-            for c in word:
-                if lo is not None and lo < c < z:
-                    return True
-                if lo is None or c < lo:
-                    lo = c
-            return False
+    """Would appending letter z to word create an occurrence of pattern t?
 
-    def extend(ti, start, chosen):
-        if ti == m - 1:
-            for tj in range(m - 1):
-                a, b = t[tj], t[m - 1]
-                x = chosen[tj]
-                if (a < b) != (x < z) or (a == b) != (x == z):
-                    return False
-            return True
-        for i in range(start, L):
-            c = word[i]
-            ok = True
-            for tj in range(ti):
-                a, b = t[tj], t[ti]
-                x = chosen[tj]
-                if (a < b) != (x < c) or (a == b) != (x == c):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(c)
-                if extend(ti + 1, i + 1, chosen):
-                    return True
-                chosen.pop()
+    The word must avoid t, as every word the searches extend does, so any
+    occurrence in the extended word ends at z.
+    """
+    # specialize the two patterns with completeness guarantees
+    if t == (1, 3, 2):
+        lo = None
+        for c in word:
+            if lo is not None and lo < z and c > z:
+                return True
+            if lo is None or c < lo:
+                lo = c
         return False
-
-    return extend(0, 0, [])
+    if t == (1, 2, 3):
+        lo = None
+        for c in word:
+            if lo is not None and lo < c < z:
+                return True
+            if lo is None or c < lo:
+                lo = c
+        return False
+    return contains_pattern((*word, z), t)
 
 
 def multiplicity_caps(g, t):
@@ -365,8 +324,7 @@ class _PatternSearch:
         )
 
     def search(self):
-        if not self.budget.tick():
-            raise _OutOfBudget
+        self.budget.tick()
         state = self.state
         if state.is_witness():
             return tuple(state.word)
@@ -393,27 +351,15 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     detail records the caps used and whether the refutation is complete.
     """
     t = as_pattern(t)
-    start = time.monotonic()
     caps, complete = multiplicity_caps(g, t)
     budget = _Budget(max_nodes, max_seconds)
     searcher = _PatternSearch(g, t, caps, budget)
-    detail = {"caps": caps, "exhaustive": complete, "pattern": t}
-    try:
-        witness = searcher.search()
-    except _OutOfBudget:
-        return SearchOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes, time.monotonic() - start, detail
-        )
-    elapsed = time.monotonic() - start
-    if witness is None:
-        return SearchOutcome(REFUTED, None, budget.nodes, elapsed, detail)
-    if word_to_graph(witness) != g:
-        raise AssertionError("pattern search returned a non-representing word")
-    from .words import contains_pattern
-
-    if contains_pattern(witness, t):
-        raise AssertionError("pattern search returned a word containing the pattern")
-    return SearchOutcome(WITNESS, witness, budget.nodes, elapsed, detail)
+    return run_search(
+        searcher.search,
+        budget,
+        lambda w: word_to_graph(w) == g and not contains_pattern(w, t),
+        {"caps": caps, "exhaustive": complete, "pattern": t},
+    )
 
 
 def count_pattern_avoiding_representants(g, t, max_len):

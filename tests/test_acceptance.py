@@ -28,9 +28,9 @@ from wordrep.graphs import (
 )
 from wordrep.orientation import (
     Orientation,
-    apex_representability_check,
     find_semi_transitive,
     find_transitive,
+    is_permutationally_representable,
     is_semi_transitive,
     is_word_representable,
     neighborhood_filter,
@@ -295,7 +295,7 @@ def test_criterion_7_property_suites(rng, corpus6):
     for n in range(1, 6):
         for h in generate(n, connected=False):
             c.check(
-                apex_representability_check(h) == is_word_representable(add_apex(h)),
+                is_permutationally_representable(h) == is_word_representable(add_apex(h)),
                 f"apex equivalence failed on {h.edges()}",
             )
 

@@ -7,11 +7,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordrep import families
+from wordrep import cli, enumeration, families, repnum
 from wordrep.cli import main, parse_graph, parse_word
 from wordrep.families import FAMILY_NAMES
 from wordrep.graphs import Graph
 from wordrep.io import to_graph6
+from wordrep.outcome import _Budget
+from wordrep.words import word_to_graph
 
 
 def run(capsys, *argv):
@@ -107,6 +109,40 @@ def test_represent(capsys):
     assert code == 0 and payload["witness_word"]
 
 
+def test_represent_searches_each_k_once(capsys, monkeypatch):
+    # the witness comes from the search that found k, not from a rerun
+    calls = []
+    search = repnum.find_k_uniform_word
+
+    def counted(g, k, *args, **kw):
+        calls.append(k)
+        return search(g, k, *args, **kw)
+
+    monkeypatch.setattr(repnum, "find_k_uniform_word", counted)
+    monkeypatch.setattr(cli, "find_k_uniform_word", counted)
+    payload, code = run(capsys, "represent", "family:prism:3")
+    assert code == 0 and payload["k"] == 3 and calls == [1, 2, 3]
+    assert word_to_graph(parse_word(payload["witness_word"])) == families.prism(3)
+
+
+def test_represent_max_nodes_bounds_the_whole_call(capsys, monkeypatch):
+    ticks = 0
+    tick = _Budget.tick
+
+    def counted(self):
+        nonlocal ticks
+        ticks += 1
+        return tick(self)
+
+    monkeypatch.setattr(_Budget, "tick", counted)
+    assert repnum.representation_number(families.prism(3)) == 3
+    needed, ticks = ticks, 0
+    payload, code = run(capsys, "represent", "family:prism:3", "--max-nodes", str(needed))
+    assert code == 0 and payload["k"] == 3 and ticks == needed
+    payload, code = run(capsys, "represent", "family:prism:3", "--max-nodes", str(needed - 1))
+    assert code == 3
+
+
 def test_perm_repnum(capsys):
     payload, code = run(capsys, "perm-repnum", "family:crown:3")
     assert code == 0 and payload["perm_repnum"] == 3
@@ -148,6 +184,15 @@ def test_enumerate(capsys):
     payload, code = run(capsys, "enumerate", "6", "--count-nonrep", "--minimal")
     assert payload["count_non_representable"] == 1
     assert payload["minimal_count"] == 1
+
+
+def test_enumerate_count_and_minimal_share_one_census(capsys, monkeypatch):
+    calls = []
+    decide = enumeration.decide_graph
+    monkeypatch.setattr(enumeration, "decide_graph", lambda task: calls.append(task) or decide(task))
+    payload, code = run(capsys, "enumerate", "6", "--count-nonrep", "--minimal")
+    assert code == 0 and payload["count_non_representable"] == payload["minimal_count"] == 1
+    assert len(calls) == payload["corpus_size"] == 112
 
 
 def test_enumerate_checkpoint_env(capsys, tmp_path, monkeypatch):

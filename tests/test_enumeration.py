@@ -102,6 +102,16 @@ def test_members_reuse_census_keys(monkeypatch):
     assert len(calls) == 112
 
 
+def test_minimal_subgraph_decisions_take_the_budget():
+    # W5 falls to the neighbourhood filter with no search nodes, so only the
+    # decisions on its vertex-deleted subgraphs can spend the budget
+    corpus = Corpus(6, [families.wheel(5)])
+    assert minimal_non_representable(corpus) == [families.wheel(5)]
+    assert minimal_non_representable(corpus, max_nodes=50) == [families.wheel(5)]
+    with pytest.raises(BudgetExhausted):
+        minimal_non_representable(corpus, max_nodes=1)
+
+
 def test_minimal_n5_n6():
     assert minimal_non_representable(generate(5)) == []
     minimal = minimal_non_representable(generate(6))

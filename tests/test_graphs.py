@@ -20,7 +20,6 @@ from wordrep.graphs import (
     contract_edge,
     delete_vertex,
     disjoint_union,
-    from_edge_list,
     glue_at_vertex,
     induced_subgraph,
     is_connected,
@@ -34,20 +33,20 @@ from wordrep.graphs import (
 
 
 def test_from_edge_list_basics():
-    k2 = from_edge_list(2, [(1, 2)])
+    k2 = Graph(2, [(1, 2)])
     assert k2.edges() == [(1, 2)]
-    fig1 = from_edge_list(4, [{1, 2}, {2, 3}, {2, 4}, {3, 4}])
+    fig1 = Graph(4, [{1, 2}, {2, 3}, {2, 4}, {3, 4}])
     assert fig1.edges() == [(1, 2), (2, 3), (2, 4), (3, 4)]
-    assert from_edge_list(3, []).m == 0
+    assert Graph(3, []).m == 0
     # duplicates collapse
-    assert from_edge_list(2, [(1, 2), (2, 1)]).m == 1
+    assert Graph(2, [(1, 2), (2, 1)]).m == 1
 
 
 def test_from_edge_list_errors():
     with pytest.raises(ValueError):
-        from_edge_list(2, [(1, 3)])
+        Graph(2, [(1, 3)])
     with pytest.raises(ValueError):
-        from_edge_list(2, [(1, 1)])
+        Graph(2, [(1, 1)])
 
 
 def test_degrees_and_neighbors():

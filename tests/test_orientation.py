@@ -20,8 +20,9 @@ from wordrep.graphs import (
 )
 from wordrep.orientation import (
     Orientation,
+    _decide,
     _OrientSearch,
-    apex_representability_check,
+    _orients_each_edge_once,
     find_semi_transitive,
     find_transitive,
     is_acyclic,
@@ -44,6 +45,8 @@ def test_orientation_validation():
         Orientation(g, [(1, 2), (2, 3)])  # edge (1,3) missing
     with pytest.raises(ValueError):
         Orientation(g, [(1, 2), (2, 1), (2, 3), (3, 1)])  # doubly oriented
+    with pytest.raises(ValueError):
+        Orientation(g, [(1, 2), (1, 2), (2, 3), (1, 3)])  # one arc twice
     with pytest.raises(ValueError):
         Orientation(g, [(1, 2), (2, 3), (1, 4)])
 
@@ -168,13 +171,46 @@ def test_is_permutationally_representable():
 def test_apex_equivalence_exhaustive(all_graphs_upto_5):
     for n in range(1, 6):
         for h in all_graphs_upto_5[n]:
-            assert apex_representability_check(h) == is_word_representable(add_apex(h))
+            assert is_permutationally_representable(h) == is_word_representable(add_apex(h))
 
 
 def test_apex_fixtures():
-    assert not apex_representability_check(families.cycle(5))
-    assert apex_representability_check(families.cycle(6))
-    assert apex_representability_check(families.complete(3))
+    assert not is_permutationally_representable(families.cycle(5))
+    assert is_permutationally_representable(families.cycle(6))
+    assert is_permutationally_representable(families.complete(3))
+
+
+def test_orients_each_edge_once():
+    triangle = families.cycle(3).adj
+    assert _orients_each_edge_once(triangle, [0b110, 0b100, 0])  # 1->2, 1->3, 2->3
+    assert not _orients_each_edge_once(triangle, [0b110, 0, 0])  # 2-3 left out
+    assert not _orients_each_edge_once(triangle, [0b110, 0b101, 0])  # 1-2 both ways
+    assert not _orients_each_edge_once(triangle, [0b111, 0b100, 0])  # a loop at 1
+    path = families.path(3).adj  # 1-2, 2-3
+    assert not _orients_each_edge_once(path, [0b110, 0b100, 0])  # 1->3 is no edge
+    assert not _orients_each_edge_once(path, [0b110, 0b100, 0b001])  # nor 1->3, 3->1
+    assert _orients_each_edge_once(families.empty(2).adj, [0, 0])
+
+
+def test_decide_is_the_filter_then_the_search():
+    out = _decide(families.wheel(5), _Budget())
+    assert out.refuted and out.nodes_expanded == 0
+    for g in (
+        families.petersen(),
+        families.prism(3),
+        families.co_t2(),
+        families.max_degree_four_counterexample(),
+    ):
+        assert neighborhood_filter(g) is None
+        out, search = _decide(g, _Budget()), find_semi_transitive(g)
+        assert (out.status, out.witness, out.nodes_expanded) == (
+            search.status,
+            search.witness,
+            search.nodes_expanded,
+        ), g
+    assert _decide(families.petersen(), _Budget(max_nodes=1)).status == "budget_exhausted"
+    with pytest.raises(CeilingExceeded):
+        _decide(families.empty(13), _Budget())
 
 
 def test_neighborhood_filter():
@@ -351,13 +387,19 @@ def raises(call):
 # a directed triangle is no orientation of a graph with a word
 orientation._OrientSearch.search = lambda self: [0b010, 0b100, 0b001]
 semi = raises(lambda: orientation.find_semi_transitive(families.cycle(3)))
+# an orientation with no arcs leaves every edge of Petersen unoriented
+orientation._OrientSearch.search = lambda self: [0] * self.n
+semi_empty = raises(lambda: orientation.find_semi_transitive(families.petersen()))
 # 1->2->3 without the arc 1->3 is not transitive
 orientation._transitive_orientation = lambda adj: ([0b010, 0b100, 0b000], 1)
 trans = raises(lambda: orientation.find_transitive(families.path(3)))
+# no arcs at all is no transitive orientation of C4
+orientation._transitive_orientation = lambda adj: ([0] * len(adj), 1)
+trans_empty = raises(lambda: orientation.find_transitive(families.cycle(4)))
 # blind to neighbours, the coloring search paints K3 with one color
 orientation._bits = lambda mask: iter(())
 color = raises(lambda: orientation.three_color(families.complete(3)))
-print(semi, trans, color)
+print(semi, semi_empty, trans, trans_empty, color)
 """
 
 
@@ -374,7 +416,7 @@ def test_witness_checks_survive_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True", "True"]
+    assert proc.stdout.split() == ["True"] * 5
 
 
 # -- references from before the bitmask rewrite ----------------------------------

@@ -1,0 +1,71 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+from wordrep.outcome import (
+    BUDGET_EXHAUSTED,
+    REFUTED,
+    WITNESS,
+    _Budget,
+    _OutOfBudget,
+    run_search,
+)
+
+
+def test_tick_raises_once_the_budget_is_spent():
+    budget = _Budget(max_nodes=2)
+    assert budget.tick() and budget.tick()
+    with pytest.raises(_OutOfBudget):
+        budget.tick()
+    assert budget.nodes == 3
+    unbounded = _Budget()
+    assert all(unbounded.tick() for _ in range(1000))
+
+
+def _kernel(budget, ticks, result):
+    def kernel():
+        for _ in range(ticks):
+            budget.tick()
+        return result
+
+    return kernel
+
+
+def accept(w):
+    return w == "w"
+
+
+def test_run_search_statuses_and_node_shares():
+    budget = _Budget(max_nodes=5)
+    out = run_search(_kernel(budget, 2, "w"), budget, accept, {"route": "test"})
+    assert (out.status, out.witness, out.nodes_expanded) == (WITNESS, "w", 2)
+    assert out.detail == {"route": "test"}
+    # a search that shares the budget counts only the nodes it spent
+    out = run_search(_kernel(budget, 2, None), budget, accept)
+    assert (out.status, out.witness, out.nodes_expanded, out.detail) == (REFUTED, None, 2, {})
+    # the sixth tick is past max_nodes=5
+    out = run_search(_kernel(budget, 5, "w"), budget, accept)
+    assert (out.status, out.witness, out.nodes_expanded) == (BUDGET_EXHAUSTED, None, 2)
+    assert not out.conclusive
+
+
+def test_run_search_rejects_a_witness_that_fails_verify():
+    budget = _Budget()
+    with pytest.raises(AssertionError):
+        run_search(_kernel(budget, 1, "forged"), budget, accept)
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so a check in the library must
+    # raise on its own
+    src = Path(__file__).resolve().parent.parent / "src" / "wordrep"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

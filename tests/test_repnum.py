@@ -12,6 +12,8 @@ from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms
 from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
+    _ends_with_occurrence,
+    _representation,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
     find_pattern_avoiding_word,
@@ -536,6 +538,97 @@ def test_pattern_search_matches_reference():
     # never break; the old search saw that after each root placement
     out = find_pattern_avoiding_word(families.path(3), (2, 1))
     assert out.refuted and out.nodes_expanded == 1
+
+
+def _reference_any_ends_with_occurrence(word, z, t):
+    """Would some occurrence of pattern t end at letter z appended to word?"""
+    m = len(t)
+    L = len(word)
+    if L + 1 < m:
+        return False
+    if m == 3:
+        # specialize the two patterns with completeness guarantees
+        if t == (1, 3, 2):
+            lo = None
+            for c in word:
+                if lo is not None and lo < z and c > z:
+                    return True
+                if lo is None or c < lo:
+                    lo = c
+            return False
+        if t == (1, 2, 3):
+            lo = None
+            for c in word:
+                if lo is not None and lo < c < z:
+                    return True
+                if lo is None or c < lo:
+                    lo = c
+            return False
+
+    def extend(ti, start, chosen):
+        if ti == m - 1:
+            for tj in range(m - 1):
+                a, b = t[tj], t[m - 1]
+                x = chosen[tj]
+                if (a < b) != (x < z) or (a == b) != (x == z):
+                    return False
+            return True
+        for i in range(start, L):
+            c = word[i]
+            ok = True
+            for tj in range(ti):
+                a, b = t[tj], t[ti]
+                x = chosen[tj]
+                if (a < b) != (x < c) or (a == b) != (x == c):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(c)
+                if extend(ti + 1, i + 1, chosen):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0, 0, [])
+
+
+def _patterns(m):
+    """Every pattern of length m: the words over 1..k that use each letter."""
+    return [
+        t
+        for t in itertools.product(range(1, m + 1), repeat=m)
+        if set(t) == set(range(1, max(t) + 1))
+    ]
+
+
+def test_ends_with_occurrence_matches_reference():
+    # on words that avoid t, the only kind the searches extend, every
+    # occurrence in the extended word ends at the new letter
+    rng = random.Random(7)
+    patterns = [t for m in (2, 3, 4) for t in _patterns(m)]
+    assert len(patterns) == 3 + 13 + 75
+    checked = 0
+    for t in patterns:
+        words = 0
+        while words < 40:
+            n = rng.randint(1, 5)
+            word = [rng.randint(1, n) for _ in range(rng.randint(0, 9))]
+            if not avoids_pattern(word, t):
+                continue
+            words += 1
+            for z in range(1, n + 2):
+                expected = _reference_any_ends_with_occurrence(word, z, t)
+                assert _ends_with_occurrence(word, z, t) == expected, (word, z, t)
+                checked += expected
+    assert checked > 500  # the occurrences, not only their absence, are compared
+
+
+def test_representation_returns_its_witness():
+    k, witness = _representation(families.prism(3), _Budget())
+    assert k == 3 and is_uniform(witness, 3)
+    assert word_to_graph(witness) == families.prism(3)
+    assert _representation(families.wheel(5), _Budget()) == (math.inf, None)
+    assert _representation(families.complete(4), _Budget())[0] == 1
 
 
 def test_uniform_search_starts_with_letter_one():
