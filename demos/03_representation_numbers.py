@@ -37,7 +37,9 @@ print("2-uniform word for the 4-star:", "".join(map(str, tree_word)))
 print("cycle construction for C6:", "".join(map(str, families.cycle_two_representant(6))))
 print()
 
-# a graph needing three permutations: the crown on 3+3 vertices
+# a graph needing three permutations: the crown on 3+3 vertices.  The word
+# is a realizer of the crown's order, one linear extension per permutation,
+# found by a deterministic search, so every run prints the same word
 from wordrep import permutational_representation_number
 
 out = permutational_representation_number(families.crown(3))

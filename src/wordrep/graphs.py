@@ -62,7 +62,8 @@ class Graph:
         return sum(bin(a).count("1") for a in self.adj) // 2
 
     def has_edge(self, u, v):
-        return u != v and bool(self.adj[u - 1] >> (v - 1) & 1)
+        n = self.n
+        return 0 < u <= n and 0 < v <= n and u != v and bool(self.adj[u - 1] >> (v - 1) & 1)
 
     def neighbors(self, v):
         return tuple(u + 1 for u in _bits(self.adj[v - 1]))

@@ -100,11 +100,6 @@ def from_edge_list_text(text):
     return Graph(n, edges)
 
 
-def read_edge_list_file(path):
-    with open(path) as fh:
-        return from_edge_list_text(fh.read())
-
-
 # -- DOT export ----------------------------------------------------------------
 
 

@@ -25,11 +25,9 @@ letter 1 first too, so witnesses are unchanged; only refutations shrink.
 from __future__ import annotations
 
 import math
-import time
-from itertools import permutations
 
 from .graphs import CeilingExceeded, automorphisms, max_clique_size, _bits
-from .orientation import ORIENTATION_CEILING, _decide
+from .orientation import ORIENTATION_CEILING, _decide, _transitive_orientation
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -390,123 +388,88 @@ def count_pattern_avoiding_representants(g, t, max_len):
 # -- representation by concatenations of permutations ---------------------------
 
 
-def permutational_representation_number(g, max_p=3, perm_ceiling=6):
+def permutational_representation_number(g, max_p=3):
     """Least p such that a concatenation of p permutations of the vertices
     represents g, or a refutation up to max_p.
 
-    A pair alternates in a concatenation of permutations exactly when every
-    permutation orders it the same way, so edges must agree with the first
-    permutation everywhere and every non-edge must flip somewhere.
+    A pair alternates in such a concatenation exactly when every permutation
+    orders it the same way, so the permutations must be linear extensions of
+    a transitive orientation P of g whose intersection is P (Kitaev & Seif):
+    only comparability graphs qualify, and p is the dimension of P, which is
+    the same for every transitive orientation of g.  A family of linear
+    extensions realizes P exactly when it reverses every critical pair
+    (a, b): a and b incomparable, every predecessor of a a predecessor of b,
+    and every successor of b a successor of a (Trotter, *Combinatorics and
+    Partially Ordered Sets*).  The search gives each critical pair one of p
+    extensions of P, each kept transitively closed, branching on the
+    unreversed pair that the fewest extensions can still take.
     """
-    if g.n > perm_ceiling:
-        raise CeilingExceeded(f"permutation search supports n <= {perm_ceiling}")
-    start = time.monotonic()
+    if g.n > ORIENTATION_CEILING:
+        raise CeilingExceeded(f"permutation search supports n <= {ORIENTATION_CEILING}")
     n = g.n
-    nodes = 0
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
-    edges = [(u - 1, v - 1) for u, v in g.edges()]
-    nonedges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not g.adj[u] >> v & 1
+    succ, _ = _transitive_orientation(g.adj)
+    if succ is None:
+        return SearchOutcome(REFUTED, None, 0, 0.0, {"max_p": max_p})
+    pred = [0] * n
+    for a in range(n):
+        for b in _bits(succ[a]):
+            pred[b] |= 1 << a
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and not g.adj[a] >> b & 1
+        and pred[a] & ~pred[b] == 0
+        and succ[b] & ~succ[a] == 0
     ]
+    budget = _Budget()
+    detail = {"max_p": max_p}
 
-    def acyclic_topo(relation):
-        """Topological order of `relation` arcs, preferring small labels."""
-        indeg = [0] * n
-        succ = [0] * n
-        for a, b in relation:
-            succ[a] |= 1 << b
-            indeg[b] += 1
-        out = []
-        avail = [v for v in range(n) if indeg[v] == 0]
-        while avail:
-            v = min(avail)
-            avail.remove(v)
-            out.append(v)
-            for w in _bits(succ[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    avail.append(w)
-        return out if len(out) == n else None
+    def realize(exts, p):
+        """Grow `exts`, extensions of P as (succ, pred) masks of closed
+        orders, to at most p that reverse every critical pair, or None."""
+        budget.tick()
+        best = None
+        for a, b in pairs:
+            if any(up[b] >> a & 1 for up, _ in exts):
+                continue
+            # b->a keeps an extension acyclic unless it holds a->b; unused
+            # extensions are all P, so only the first of them is tried
+            options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
+            if len(exts) < p:
+                options.append(len(exts))
+            if best is None or len(options) < len(best[2]):
+                best = (a, b, options)
+        if best is None:
+            return exts
+        a, b, options = best
+        for i in options:
+            up, down = map(list, exts[i] if i < len(exts) else (succ, pred))
+            low, high = down[b] | 1 << b, up[a] | 1 << a
+            for x in _bits(low):
+                up[x] |= high
+            for y in _bits(high):
+                down[y] |= low
+            found = realize(exts[:i] + [(up, down)] + exts[i + 1 :], p)
+            if found is not None:
+                return found
+        return None
 
-    for p in range(1, max_p + 1):
-        if p == 1:
-            if not nonedges:
-                word = tuple(range(1, n + 1))
-                return SearchOutcome(
-                    WITNESS, word, nodes, time.monotonic() - start,
-                    {"permutations": 1},
+    def kernel():
+        for p in range(1, max_p + 1):
+            exts = realize([], p)
+            if exts is not None:
+                detail["permutations"] = p
+                # extensions left unused are P itself; in a closed order,
+                # x below y has more successors than y
+                return tuple(
+                    v + 1
+                    for up, _ in exts + [(succ, pred)] * (p - len(exts))
+                    for v in sorted(range(n), key=lambda v: -bin(up[v]).count("1"))
                 )
-            continue
-        for first in permutations(range(n)):
-            nodes += 1
-            pos = [0] * n
-            for i, v in enumerate(first):
-                pos[v] = i
-            arcs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in edges]
-            base_order = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in nonedges]
+        return None
 
-            def extend(perms_used, still_agreeing):
-                nonlocal nodes
-                remaining_perms = p - perms_used
-                if remaining_perms == 0:
-                    return [] if not still_agreeing else None
-                if remaining_perms == 1:
-                    relation = arcs + [(b, a) for a, b in still_agreeing]
-                    order = acyclic_topo(relation)
-                    if order is None:
-                        return None
-                    return [tuple(order)]
-                # enumerate linear extensions of the edge arcs, classic DFS
-                result = None
-
-                def linext(chosen, chosen_mask):
-                    nonlocal nodes, result
-                    if result is not None:
-                        return
-                    if len(chosen) == n:
-                        nodes += 1
-                        cpos = [0] * n
-                        for i, v in enumerate(chosen):
-                            cpos[v] = i
-                        next_agreeing = [
-                            (a, b)
-                            for a, b in still_agreeing
-                            if (cpos[a] < cpos[b]) == (pos[a] < pos[b])
-                        ]
-                        tail = extend(perms_used + 1, next_agreeing)
-                        if tail is not None:
-                            result = [tuple(chosen)] + tail
-                        return
-                    for v in range(n):
-                        if chosen_mask >> v & 1:
-                            continue
-                        if any(
-                            not chosen_mask >> a & 1 for a, b in arcs if b == v
-                        ):
-                            continue
-                        chosen.append(v)
-                        linext(chosen, chosen_mask | 1 << v)
-                        chosen.pop()
-                        if result is not None:
-                            return
-
-                linext([], 0)
-                return result
-
-            tail = extend(1, base_order)
-            if tail is not None:
-                seq = [first] + tail
-                word = tuple(v + 1 for perm in seq for v in perm)
-                if word_to_graph(word) != g:
-                    raise AssertionError("permutation search verification failed")
-                return SearchOutcome(
-                    WITNESS, word, nodes, time.monotonic() - start,
-                    {"permutations": p},
-                )
-    return SearchOutcome(
-        REFUTED, None, nodes, time.monotonic() - start, {"max_p": max_p}
-    )
+    return run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)

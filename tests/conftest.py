@@ -55,6 +55,17 @@ def all_labeled_graphs(n):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def atlas_graphs():
+    """The 1,253 graphs of networkx's atlas (n <= 7), labelled 1..n."""
+    import networkx as nx
+
+    out = []
+    for h in nx.graph_atlas_g():
+        index = {v: i + 1 for i, v in enumerate(h.nodes())}
+        out.append(Graph(h.number_of_nodes(), [(index[u], index[v]) for u, v in h.edges()]))
+    return out
+
+
 def words_over(alphabet_size, max_len):
     """All words over exactly {1..alphabet_size} (every letter present)."""
     letters = range(1, alphabet_size + 1)

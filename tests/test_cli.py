@@ -148,6 +148,8 @@ def test_perm_repnum(capsys):
     assert code == 0 and payload["perm_repnum"] == 3
     payload, code = run(capsys, "perm-repnum", "family:cycle:5")
     assert code == 1 and payload["perm_repnum"] is None
+    payload, code = run(capsys, "perm-repnum", "family:crown:4", "--max-p", "4")
+    assert code == 0 and payload["perm_repnum"] == 4
 
 
 def test_family(capsys):

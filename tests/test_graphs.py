@@ -54,6 +54,10 @@ def test_degrees_and_neighbors():
     assert g.degree(6) == 5
     assert g.neighbors(6) == (1, 2, 3, 4, 5)
     assert g.degree_sequence() == (3, 3, 3, 3, 3, 5)
+    # vertex 0 must not read the row of vertex n
+    path = families.path(3)
+    assert path.has_edge(2, 3) and not path.has_edge(0, 2)
+    assert not path.has_edge(2, 0) and not path.has_edge(2, 4)
 
 
 def test_complement():

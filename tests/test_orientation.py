@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import words_over
+from conftest import atlas_graphs, words_over
 from wordrep import families
 from wordrep.graphs import (
     CeilingExceeded,
@@ -49,6 +49,8 @@ def test_orientation_validation():
         Orientation(g, [(1, 2), (1, 2), (2, 3), (1, 3)])  # one arc twice
     with pytest.raises(ValueError):
         Orientation(g, [(1, 2), (2, 3), (1, 4)])
+    with pytest.raises(ValueError):
+        Orientation(families.path(3), [(0, 2), (1, 2)])  # vertex 0 is no vertex
 
 
 def test_is_acyclic():
@@ -577,16 +579,6 @@ def reference_semi_transitive(g):
     return _ReferenceOrientSearch(g, budget).search(), budget.nodes
 
 
-def _atlas():
-    import networkx as nx
-
-    out = []
-    for h in nx.graph_atlas_g():
-        index = {v: i + 1 for i, v in enumerate(h.nodes())}
-        out.append(Graph(h.number_of_nodes(), [(index[u], index[v]) for u, v in h.edges()]))
-    return out
-
-
 def _random_connected(count, seed):
     rng = random.Random(seed)
     out = []
@@ -600,7 +592,7 @@ def _random_connected(count, seed):
 
 
 def test_find_transitive_matches_reference_search():
-    for g in _atlas():
+    for g in atlas_graphs():
         assert find_transitive(g).found == reference_trans_search(g), g
     hoods = 0
     for g in _random_connected(300, seed=11):
@@ -642,7 +634,7 @@ def test_find_transitive_counts_implication_classes():
 
 
 def test_semi_transitive_search_matches_reference_propagation():
-    graphs = [g for g in _atlas() if g.m and is_connected(g)]
+    graphs = [g for g in atlas_graphs() if g.m and is_connected(g)]
     graphs += _random_connected(300, seed=12)
     for g in graphs:
         out = find_semi_transitive(g)

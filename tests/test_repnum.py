@@ -1,15 +1,18 @@
 import itertools
 import math
 import random
+import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relabel
+from conftest import all_labeled_graphs, atlas_graphs, relabel
 from wordrep import families
 from wordrep.enumeration import generate
-from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms
-from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
+from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms, complement
+from wordrep.orientation import find_transitive
+from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
     _ends_with_occurrence,
@@ -194,28 +197,25 @@ def test_perm_representation_numbers():
     assert permutational_representation_number(families.cycle(5)).refuted
 
 
-def test_perm_number_two_matches_brute_force(rng):
-    # oracle: try every pair of permutations outright
-    def brute_two(g):
-        n = g.n
-        for p1 in itertools.permutations(range(1, n + 1)):
-            for p2 in itertools.permutations(range(1, n + 1)):
-                if word_to_graph(p1 + p2) == g:
-                    return True
-        return False
-
-    for _ in range(8):
-        n = rng.randint(2, 4)
-        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
-        g = Graph(n, edges)
-        out = permutational_representation_number(g, max_p=2)
-        mine = out.found and out.detail["permutations"] <= 2
-        assert mine == brute_two(g)
+def test_perm_number_two_matches_brute_force():
+    # oracle: the graphs that some pair of permutations represents, by the
+    # alternation definition written out here, not by wordrep.words
+    for n in range(6):
+        letters = range(1, n + 1)
+        two = {
+            frozenset(_alternating_pairs(p1 + p2))
+            for p1 in itertools.permutations(letters)
+            for p2 in itertools.permutations(letters)
+        }
+        for g in all_labeled_graphs(n):
+            out = permutational_representation_number(g, max_p=2)
+            mine = out.found and out.detail["permutations"] <= 2
+            assert mine == (frozenset(g.edges()) in two), g
 
 
 def test_perm_ceiling():
     with pytest.raises(CeilingExceeded):
-        permutational_representation_number(families.crown(4))
+        permutational_representation_number(families.empty(13))
 
 
 # -- reference searches -----------------------------------------------------------
@@ -705,3 +705,199 @@ def test_representation_number_computes_automorphisms_once(monkeypatch):
     )
     assert representation_number(families.prism(3)) == 3  # tries k = 1, 2, 3
     assert len(calls) == 1
+
+
+# -- permutation representation -------------------------------------------------
+#
+# `permutational_representation_number` as it was before it became a poset
+# dimension search, kept verbatim apart from its name: every first
+# permutation, then the linear extensions of its edge arcs, for n <= 6.
+
+
+def reference_permutational_representation_number(g, max_p=3, perm_ceiling=6):
+    """Least p such that a concatenation of p permutations of the vertices
+    represents g, or a refutation up to max_p.
+
+    A pair alternates in a concatenation of permutations exactly when every
+    permutation orders it the same way, so edges must agree with the first
+    permutation everywhere and every non-edge must flip somewhere.
+    """
+    if g.n > perm_ceiling:
+        raise CeilingExceeded(f"permutation search supports n <= {perm_ceiling}")
+    start = time.monotonic()
+    n = g.n
+    nodes = 0
+    if n == 0:
+        return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
+    edges = [(u - 1, v - 1) for u, v in g.edges()]
+    nonedges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not g.adj[u] >> v & 1
+    ]
+
+    def acyclic_topo(relation):
+        """Topological order of `relation` arcs, preferring small labels."""
+        indeg = [0] * n
+        succ = [0] * n
+        for a, b in relation:
+            succ[a] |= 1 << b
+            indeg[b] += 1
+        out = []
+        avail = [v for v in range(n) if indeg[v] == 0]
+        while avail:
+            v = min(avail)
+            avail.remove(v)
+            out.append(v)
+            for w in _bits(succ[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    avail.append(w)
+        return out if len(out) == n else None
+
+    for p in range(1, max_p + 1):
+        if p == 1:
+            if not nonedges:
+                word = tuple(range(1, n + 1))
+                return SearchOutcome(
+                    WITNESS, word, nodes, time.monotonic() - start,
+                    {"permutations": 1},
+                )
+            continue
+        for first in permutations(range(n)):
+            nodes += 1
+            pos = [0] * n
+            for i, v in enumerate(first):
+                pos[v] = i
+            arcs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in edges]
+            base_order = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in nonedges]
+
+            def extend(perms_used, still_agreeing):
+                nonlocal nodes
+                remaining_perms = p - perms_used
+                if remaining_perms == 0:
+                    return [] if not still_agreeing else None
+                if remaining_perms == 1:
+                    relation = arcs + [(b, a) for a, b in still_agreeing]
+                    order = acyclic_topo(relation)
+                    if order is None:
+                        return None
+                    return [tuple(order)]
+                # enumerate linear extensions of the edge arcs, classic DFS
+                result = None
+
+                def linext(chosen, chosen_mask):
+                    nonlocal nodes, result
+                    if result is not None:
+                        return
+                    if len(chosen) == n:
+                        nodes += 1
+                        cpos = [0] * n
+                        for i, v in enumerate(chosen):
+                            cpos[v] = i
+                        next_agreeing = [
+                            (a, b)
+                            for a, b in still_agreeing
+                            if (cpos[a] < cpos[b]) == (pos[a] < pos[b])
+                        ]
+                        tail = extend(perms_used + 1, next_agreeing)
+                        if tail is not None:
+                            result = [tuple(chosen)] + tail
+                        return
+                    for v in range(n):
+                        if chosen_mask >> v & 1:
+                            continue
+                        if any(
+                            not chosen_mask >> a & 1 for a, b in arcs if b == v
+                        ):
+                            continue
+                        chosen.append(v)
+                        linext(chosen, chosen_mask | 1 << v)
+                        chosen.pop()
+                        if result is not None:
+                            return
+
+                linext([], 0)
+                return result
+
+            tail = extend(1, base_order)
+            if tail is not None:
+                seq = [first] + tail
+                word = tuple(v + 1 for perm in seq for v in perm)
+                if word_to_graph(word) != g:
+                    raise AssertionError("permutation search verification failed")
+                return SearchOutcome(
+                    WITNESS, word, nodes, time.monotonic() - start,
+                    {"permutations": p},
+                )
+    return SearchOutcome(
+        REFUTED, None, nodes, time.monotonic() - start, {"max_p": max_p}
+    )
+
+
+def _perm_number(out):
+    return out.detail["permutations"] if out.found else None
+
+
+def _represents(w, g):
+    return _alternating_pairs(w) == set(g.edges())
+
+
+def test_perm_number_matches_reference():
+    # the reference tries p = 1, 2, ... in turn whatever max_p is, so one run
+    # at max_p = 3 gives its answer for every smaller max_p
+    for g in [g for g in atlas_graphs() if g.n <= 6]:
+        expected = _perm_number(reference_permutational_representation_number(g))
+        for max_p in (1, 2, 3):
+            out = permutational_representation_number(g, max_p=max_p)
+            if expected is None or expected > max_p:
+                assert out.refuted, (g, max_p)
+            else:
+                assert _perm_number(out) == expected, (g, max_p)
+                assert len(out.witness) == expected * g.n and _represents(out.witness, g)
+
+
+def _random_comparability_graph(rng, n):
+    """The comparability graph of a random order on n elements: arcs drawn
+    along a shuffled ranking, then closed transitively."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    density = rng.random()
+    up = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                up[rank[i]] |= 1 << rank[j] | up[rank[j]]
+    return Graph(n, [(a + 1, b + 1) for a in range(n) for b in _bits(up[a])])
+
+
+def test_perm_number_dushnik_miller():
+    # dimension <= 2 exactly when the complement is a comparability graph
+    # too (Dushnik & Miller), and dimension does not depend on the labels
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(7, 12)
+        g = _random_comparability_graph(rng, n)
+        out = permutational_representation_number(g, max_p=6)
+        p = _perm_number(out)
+        assert p is not None and _represents(out.witness, g), g
+        assert (p <= 2) == find_transitive(complement(g)).found, g
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert _perm_number(permutational_representation_number(relabel(g, perm), max_p=6)) == p
+        seen.add(p)
+    assert {1, 2, 3} <= seen
+
+
+def test_perm_number_crowns():
+    # crown(k) has dimension k; every two of its k critical pairs (i, k + i)
+    # conflict in one extension, so for each p the search assigns p of them
+    # without backtracking and finds no room for the next: p + 1 nodes
+    for k in range(2, 7):
+        g = families.crown(k)
+        out = permutational_representation_number(g, max_p=6)
+        assert _perm_number(out) == k and _represents(out.witness, g)
+        assert out.nodes_expanded == sum(p + 1 for p in range(1, k + 1))
+        assert permutational_representation_number(g, max_p=k - 1).refuted
