@@ -13,11 +13,14 @@ from wordrep import (
     disjoint_union,
     is_isomorphic,
     is_permutationally_representable,
+    is_semi_transitive,
     is_word_representable,
+    orientation_from_coloring,
     representation_number,
     rooted_product,
     subdivide,
     substitute_module,
+    three_color,
 )
 from wordrep import families
 
@@ -48,12 +51,16 @@ swapped = substitute_module(families.prism(3), 1, families.complete(3))
 print("Pr3 with a K3 module: n =", swapped.n, " R =", representation_number(swapped))
 print()
 
-# subdividing edges enough always lands in the 3-representable world
+# subdividing edges enough always lands in the 3-representable world; 16
+# vertices is past the orientation search's ceiling, so a 3-coloring oriented
+# by color classes certifies it
 g = families.complete(4)
 for u, v in families.complete(4).edges():
     g = subdivide(g, (u, v), 3)
+coloring = three_color(g)
 print("K4, every edge subdivided into 3 parts:", g.n, "vertices,",
-      "representable:", is_word_representable(g, ceiling=g.n))
+      "representable:", is_semi_transitive(orientation_from_coloring(g, coloring.witness)),
+      f"({coloring.nodes_expanded} coloring nodes)")
 print()
 
 # induced-subgraph containment drives hereditary arguments

@@ -77,13 +77,16 @@ def format_word(w):
     return ",".join(str(c) for c in w) if w is not None else None
 
 
+def parse_family(spec):
+    """[family:]NAME[:PARAM] as (name, param), param None when absent."""
+    name, _, param = spec.removeprefix("family:").partition(":")
+    return name, int(param) if param else None
+
+
 def parse_graph(spec):
     """family:NAME[:PARAM] | edges:N:U-V,U-V,... | path to .g6/edge-list file."""
     if spec.startswith("family:"):
-        parts = spec.split(":")
-        name = parts[1]
-        param = int(parts[2]) if len(parts) > 2 and parts[2] else None
-        return families.make(name, param)
+        return families.make(*parse_family(spec))
     if spec.startswith("edges:"):
         parts = spec.split(":", 2)
         n = int(parts[1])
@@ -223,10 +226,7 @@ def cmd_perm_repnum(args):
 
 
 def cmd_family(args):
-    parts = args.spec.split(":")
-    name = parts[0] if parts[0] != "family" else parts[1]
-    param_idx = 1 if parts[0] != "family" else 2
-    param = int(parts[param_idx]) if len(parts) > param_idx and parts[param_idx] else None
+    name, param = parse_family(args.spec)
     g = families.make(name, param)
     payload = graph_payload(g, args.format)
     word = families.known_representant(name, param)

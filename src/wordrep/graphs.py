@@ -66,10 +66,15 @@ class Graph:
         return 0 < u <= n and 0 < v <= n and u != v and bool(self.adj[u - 1] >> (v - 1) & 1)
 
     def neighbors(self, v):
-        return tuple(u + 1 for u in _bits(self.adj[v - 1]))
+        return tuple(u + 1 for u in _bits(self._row(v)))
 
     def degree(self, v):
-        return bin(self.adj[v - 1]).count("1")
+        return bin(self._row(v)).count("1")
+
+    def _row(self, v):
+        if not 0 < v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        return self.adj[v - 1]
 
     def degree_sequence(self):
         return tuple(sorted(bin(a).count("1") for a in self.adj))
@@ -280,17 +285,7 @@ def disjoint_union(g, h):
 
 
 def is_connected(g):
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g):

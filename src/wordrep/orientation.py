@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-from .graphs import CeilingExceeded, induced_subgraph, _bits
+from .graphs import CeilingExceeded, _bits
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -118,12 +118,11 @@ def _orients_each_edge_once(adj, succ):
 
 def is_transitive(o):
     """True iff u->v and v->w always imply the arc u->w."""
-    for u in range(o.graph.n):
-        su = o.succ[u]
-        for v in _bits(su):
-            if o.succ[v] & ~su:
-                return False
-    return True
+    return _transitive(o.succ)
+
+
+def _transitive(succ):
+    return not any(succ[v] & ~su for su in succ for v in _bits(su))
 
 
 def _closures(succ, order):
@@ -308,9 +307,7 @@ class _OrientSearch:
         return None
 
 
-def find_semi_transitive(
-    g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING, *, budget=None
-):
+def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     """Search for a semi-transitive orientation of g.
 
     Returns a witness Orientation or an exhaustive refutation; a refutation
@@ -318,8 +315,8 @@ def find_semi_transitive(
     several searches under one limit passes its `_Budget` as `budget`, which
     then replaces `max_nodes` and `max_seconds`.
     """
-    if g.n > ceiling:
-        raise CeilingExceeded(f"orientation search supports n <= {ceiling}")
+    if g.n > ORIENTATION_CEILING:
+        raise CeilingExceeded(f"orientation search supports n <= {ORIENTATION_CEILING}")
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
     if budget is None:
@@ -384,7 +381,18 @@ def _transitive_orientation(adj):
     return succ, classes
 
 
-def find_transitive(g, ceiling=ORIENTATION_CEILING):
+def _comparability(adj):
+    """TRO's (succ, classes) for the masks `adj`, with succ checked to orient
+    every edge once, transitively; succ is None for no comparability graph."""
+    succ, classes = _transitive_orientation(adj)
+    # no acyclicity test: on a shortest directed cycle, transitivity closes a
+    # shorter one, down to both directions of one edge, which the first rules out
+    if succ is not None and not (_orients_each_edge_once(adj, succ) and _transitive(succ)):
+        raise AssertionError("TRO returned no transitive orientation of the graph")
+    return succ, classes
+
+
+def find_transitive(g):
     """Transitive orientation (comparability certificate) or refutation, by
     Golumbic's TRO algorithm (*Algorithmic Graph Theory and Perfect Graphs*,
     ch. 5).
@@ -392,22 +400,15 @@ def find_transitive(g, ceiling=ORIENTATION_CEILING):
     TRO orients one implication class at a time and refutes the graph as
     soon as a class contains both directions of an edge; otherwise the union
     of the classes is transitive.  It takes polynomial time and always
-    reaches a verdict, so it takes no budget; `nodes_expanded` counts the
-    implication classes.
+    reaches a verdict, so it takes no budget and no size ceiling;
+    `nodes_expanded` counts the implication classes.
     """
-    if g.n > ceiling:
-        raise CeilingExceeded(f"orientation search supports n <= {ceiling}")
     start = time.monotonic()
-    succ, classes = _transitive_orientation(g.adj)
+    succ, classes = _comparability(g.adj)
     elapsed = time.monotonic() - start
     if succ is None:
         return SearchOutcome(REFUTED, None, classes, elapsed)
-    # no acyclicity test: on a shortest directed cycle, transitivity closes a
-    # shorter one, down to both directions of one edge, which the first rules out
-    o = Orientation._from_succ(g, succ)
-    if not (_orients_each_edge_once(g.adj, succ) and is_transitive(o)):
-        raise AssertionError("TRO returned no transitive orientation of the graph")
-    return SearchOutcome(WITNESS, o, classes, elapsed)
+    return SearchOutcome(WITNESS, Orientation._from_succ(g, succ), classes, elapsed)
 
 
 def is_permutationally_representable(g):
@@ -418,28 +419,31 @@ def is_permutationally_representable(g):
 
 def neighborhood_filter(g):
     """Necessary condition: every vertex neighborhood of a word-representable
-    graph is a comparability graph.  Returns the first failing vertex or None."""
-    for v in g.vertices():
-        if not find_transitive(induced_subgraph(g, g.neighbors(v))).found:
-            return v
+    graph is a comparability graph.  Returns the first failing vertex or None.
+    TRO runs on g's masks cut to the neighborhood, other vertices' zeroed."""
+    adj = g.adj
+    for v, hood in enumerate(adj):
+        cut = [a & hood if hood >> u & 1 else 0 for u, a in enumerate(adj)]
+        if _comparability(cut)[0] is None:
+            return v + 1
     return None
 
 
-def _decide(g, budget, ceiling=ORIENTATION_CEILING):
+def _decide(g, budget):
     """The decision procedure: a refutation with no search nodes when some
     neighborhood is not a comparability graph, else the semi-transitive
     orientation search, whose witness is the certificate."""
-    if g.n > ceiling:
-        raise CeilingExceeded(f"decision supports n <= {ceiling}")
+    if g.n > ORIENTATION_CEILING:
+        raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
     if neighborhood_filter(g) is not None:
         return SearchOutcome(REFUTED)
-    return find_semi_transitive(g, budget=budget, ceiling=ceiling)
+    return find_semi_transitive(g, budget=budget)
 
 
-def is_word_representable(g, max_nodes=None, max_seconds=None, ceiling=ORIENTATION_CEILING):
+def is_word_representable(g, max_nodes=None, max_seconds=None):
     """Decide word-representability: fast neighborhood refutation first, then
     the full semi-transitive orientation search."""
-    return _decide(g, _Budget(max_nodes, max_seconds), ceiling).require_conclusive().found
+    return _decide(g, _Budget(max_nodes, max_seconds)).require_conclusive().found
 
 
 # -- 3-colorability route ------------------------------------------------------

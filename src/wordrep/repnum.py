@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .graphs import CeilingExceeded, automorphisms, max_clique_size, _bits
-from .orientation import ORIENTATION_CEILING, _decide, _transitive_orientation
+from .orientation import ORIENTATION_CEILING, _comparability, _decide
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -181,7 +181,6 @@ def find_k_uniform_word(
     k,
     max_nodes=None,
     max_seconds=None,
-    length_ceiling=LENGTH_CEILING,
     *,
     budget=None,
     auts=None,
@@ -196,10 +195,8 @@ def find_k_uniform_word(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n * k > length_ceiling:
-        raise CeilingExceeded(
-            f"word length {g.n * k} exceeds ceiling {length_ceiling}"
-        )
+    if g.n * k > LENGTH_CEILING:
+        raise CeilingExceeded(f"word length {g.n * k} exceeds ceiling {LENGTH_CEILING}")
     if g.n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0)
     if budget is None:
@@ -225,7 +222,7 @@ def representation_number(g, max_nodes=None, max_seconds=None):
 def _representation(g, budget):
     """`representation_number` under `budget`, returned with a k-uniform
     representant for the least k (None when g is not representable)."""
-    if not _decide(g, budget, ORIENTATION_CEILING).require_conclusive().found:
+    if not _decide(g, budget).require_conclusive().found:
         return math.inf, None
     auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
     bound = max(1, 2 * (g.n - max_clique_size(g)))
@@ -409,7 +406,7 @@ def permutational_representation_number(g, max_p=3):
     n = g.n
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
-    succ, _ = _transitive_orientation(g.adj)
+    succ, _ = _comparability(g.adj)
     if succ is None:
         return SearchOutcome(REFUTED, None, 0, 0.0, {"max_p": max_p})
     pred = [0] * n

@@ -307,6 +307,14 @@ def test_malformed_specs_exit_2_without_traceback(command, spec):
     assert "Traceback" not in text and "error" in text
 
 
+def test_parse_family():
+    assert cli.parse_family("family:wheel:5") == cli.parse_family("wheel:5") == ("wheel", 5)
+    assert cli.parse_family("family:petersen") == cli.parse_family("petersen:") == ("petersen", None)
+    for argv in (["family", "family"], ["family", "wheel:5:9"], ["decide", "family:"]):
+        code, text = _main_quietly(argv)
+        assert code == 2 and "Traceback" not in text, argv
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(_COMMANDS, _bad_graph6(), st.sampled_from([".g6", ".graph6", ""]))
 def test_malformed_graph6_files_exit_2_without_traceback(command, line, suffix):

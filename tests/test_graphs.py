@@ -58,6 +58,11 @@ def test_degrees_and_neighbors():
     path = families.path(3)
     assert path.has_edge(2, 3) and not path.has_edge(0, 2)
     assert not path.has_edge(2, 0) and not path.has_edge(2, 4)
+    for v in (0, 4):
+        with pytest.raises(ValueError):
+            path.neighbors(v)
+        with pytest.raises(ValueError):
+            path.degree(v)
 
 
 def test_complement():

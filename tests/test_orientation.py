@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import atlas_graphs, words_over
-from wordrep import families
+from wordrep import families, orientation
 from wordrep.graphs import (
     CeilingExceeded,
     Graph,
@@ -36,6 +36,7 @@ from wordrep.orientation import (
     word_to_orientation,
 )
 from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
+from wordrep.repnum import permutational_representation_number
 from wordrep.words import word_to_graph
 
 
@@ -222,6 +223,45 @@ def test_neighborhood_filter():
     assert neighborhood_filter(families.max_degree_four_counterexample()) is None
 
 
+def reference_neighborhood_filter(g):
+    """`neighborhood_filter` as it was when it built each neighbourhood."""
+    for v in g.vertices():
+        if not find_transitive(induced_subgraph(g, g.neighbors(v))).found:
+            return v
+    return None
+
+
+def test_neighborhood_filter_matches_reference():
+    hits = 0
+    for g in atlas_graphs() + _random_connected(300, seed=13):
+        v = neighborhood_filter(g)
+        assert v == reference_neighborhood_filter(g), g
+        hits += v is not None
+    assert hits == 21 + 137  # atlas graphs, random graphs
+
+
+def test_comparability_has_no_ceiling():
+    # TRO is polynomial: past the orientation search's 12 vertices it still
+    # settles a 13-vertex neighbourhood and the 14-vertex crown
+    assert neighborhood_filter(families.star(13)) is None
+    crown = families.crown(7)
+    assert crown.n == 14
+    out = find_transitive(crown)
+    assert out.found and is_transitive(out.witness)
+    assert is_permutationally_representable(crown)
+    with pytest.raises(CeilingExceeded):
+        is_word_representable(families.star(13))
+
+
+def test_permutation_order_is_checked(monkeypatch):
+    # 4->1->2 and 4->3->2 orient C4 without 4->2; taken unchecked, this order
+    # made the search refute C4 at max_p=2, although C4 has dimension 2
+    forged = lambda adj: ([0b0010, 0, 0b0010, 0b0101], 1)
+    monkeypatch.setattr(orientation, "_transitive_orientation", forged)
+    with pytest.raises(AssertionError):
+        permutational_representation_number(families.cycle(4), max_p=2)
+
+
 def test_figure_derived_counterexamples():
     for g in (families.co_t2(), families.max_degree_four_counterexample()):
         assert not is_word_representable(g)
@@ -398,10 +438,12 @@ trans = raises(lambda: orientation.find_transitive(families.path(3)))
 # no arcs at all is no transitive orientation of C4
 orientation._transitive_orientation = lambda adj: ([0] * len(adj), 1)
 trans_empty = raises(lambda: orientation.find_transitive(families.cycle(4)))
+# nor of the edge 2-3 in the neighbourhood of vertex 1 of K3
+hood = raises(lambda: orientation.neighborhood_filter(families.complete(3)))
 # blind to neighbours, the coloring search paints K3 with one color
 orientation._bits = lambda mask: iter(())
 color = raises(lambda: orientation.three_color(families.complete(3)))
-print(semi, semi_empty, trans, trans_empty, color)
+print(semi, semi_empty, trans, trans_empty, hood, color)
 """
 
 
@@ -418,7 +460,7 @@ def test_witness_checks_survive_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 5
+    assert proc.stdout.split() == ["True"] * 6
 
 
 # -- references from before the bitmask rewrite ----------------------------------
