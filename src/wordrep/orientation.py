@@ -432,10 +432,11 @@ def neighborhood_filter(g):
 def _decide(g, budget):
     """The decision procedure: a refutation with no search nodes when some
     neighborhood is not a comparability graph, else the semi-transitive
-    orientation search, whose witness is the certificate."""
+    orientation search, whose witness is the certificate.  A comparability
+    graph skips the filter: its neighborhoods are comparability graphs too."""
     if g.n > ORIENTATION_CEILING:
         raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
-    if neighborhood_filter(g) is not None:
+    if not find_transitive(g).found and neighborhood_filter(g) is not None:
         return SearchOutcome(REFUTED)
     return find_semi_transitive(g, budget=budget)
 

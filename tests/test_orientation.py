@@ -216,6 +216,20 @@ def test_decide_is_the_filter_then_the_search():
         _decide(families.empty(13), _Budget())
 
 
+def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
+    filtered = []
+    real = orientation.neighborhood_filter
+    monkeypatch.setattr(
+        orientation, "neighborhood_filter", lambda g: filtered.append(g) or real(g)
+    )
+    for g in (families.crown(4), families.complete(6), families.path(7)):
+        out, search = _decide(g, _Budget()), find_semi_transitive(g)
+        assert (out.witness, out.nodes_expanded) == (search.witness, search.nodes_expanded)
+    assert filtered == []
+    assert _decide(families.wheel(5), _Budget()).refuted
+    assert filtered == [families.wheel(5)]
+
+
 def test_neighborhood_filter():
     assert neighborhood_filter(families.wheel(5)) is not None  # hub sees C5
     assert neighborhood_filter(families.petersen()) is None
