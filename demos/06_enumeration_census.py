@@ -1,8 +1,8 @@
 """Census of non-word-representable graphs at small orders.
 
-Orderly generation produces every connected graph on up to 8 vertices once;
-the decision procedure then counts the non-representable ones: exactly 1 on
-six vertices (the 5-wheel), 25 on seven, 929 on eight.  The n=8 run takes
+Canonical augmentation produces every connected graph on up to 9 vertices
+once; the decision procedure then counts the non-representable ones: exactly
+1 on six vertices (the 5-wheel), 25 on seven, 929 on eight.  The n=8 run takes
 around half a minute with four workers and checkpoints as it goes.
 """
 

@@ -1,9 +1,10 @@
 """Exhaustive generation of non-isomorphic graphs and the census of
 non-word-representable ones.
 
-Generation is orderly: level n is built from level n-1 by attaching a new
-vertex with every possible neighborhood and deduplicating on canonical form,
-so each isomorphism class appears exactly once.  Representability decisions
+Generation is by canonical augmentation: level n is built from level n-1 by
+attaching a new vertex of maximum degree, and a child is kept only from the
+one parent isomorphic to its canonical graph minus the last vertex, so each
+isomorphism class appears exactly once.  Representability decisions
 are independent per graph and can be distributed over worker processes; a
 line-oriented checkpoint file makes long runs resumable.
 """
@@ -21,12 +22,13 @@ from .graphs import (
     canonical_form,
     delete_vertex,
     is_connected,
+    _canonical_graph,
     _from_masks,
 )
 from .orientation import _decide, is_word_representable
 from .outcome import BudgetExhausted, _Budget
 
-GENERATION_CEILING = 8
+GENERATION_CEILING = 9
 FINAL_VERDICTS = ("representable", "non_representable")
 
 
@@ -46,31 +48,80 @@ class Corpus:
         return iter(self.graphs)
 
 
-def _augmentations(parent):
-    """All graphs made by adding vertex n+1 with any neighborhood subset."""
+def _augmentations(parent, hoods=None):
+    """The graphs made by adding vertex n+1 to `parent` with each
+    neighborhood in `hoods` (masks over the parent's vertices; every subset,
+    in increasing order, by default)."""
     n = parent.n
     out = []
-    for hood in range(1 << n):
+    for hood in range(1 << n) if hoods is None else hoods:
         masks = [parent.adj[v] | ((hood >> v & 1) << n) for v in range(n)]
         masks.append(hood)
         out.append(_from_masks(n + 1, masks))
     return out
 
 
+def _max_degree_hoods(parent):
+    """The neighborhoods, in increasing order, that give the new vertex the
+    maximum degree of the child: at least the parent's maximum degree, and
+    no neighbor already at it when equal."""
+    degrees = [a.bit_count() for a in parent.adj]
+    top = max(degrees)
+    at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
+    return [
+        hood
+        for hood in range(1 << parent.n)
+        if hood.bit_count() > top or (hood.bit_count() == top and not hood & at_top)
+    ]
+
+
+def _next_level(keys, graphs):
+    """The next level by canonical augmentation, as canonical forms in
+    increasing order and their graphs, from the current one in the same
+    form."""
+    graph_of = dict(zip(keys, graphs))
+    parent_of = {}  # child key -> the graph of the level isomorphic to C - last
+    child_keys, children = [], []
+    for parent in graphs:
+        seen = set()
+        for child in _augmentations(parent, _max_degree_hoods(parent)):
+            key = canonical_form(child)
+            if key in seen:
+                continue
+            seen.add(key)
+            if key not in parent_of:
+                c = _canonical_graph(key)
+                parent_of[key] = graph_of[canonical_form(delete_vertex(c, c.n))]
+            if parent_of[key] is parent:
+                child_keys.append(key)
+                children.append(child)
+    order = sorted(range(len(child_keys)), key=child_keys.__getitem__)
+    return [child_keys[i] for i in order], [children[i] for i in order]
+
+
 def generate(n, connected=True):
-    """Corpus of all non-isomorphic graphs on exactly n vertices."""
+    """Corpus of all non-isomorphic graphs on exactly n vertices, in order
+    of canonical form.
+
+    Level k+1 is built from level k by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", 1998).  A child G is a parent P
+    plus vertex m with some neighborhood, and is kept when
+    1. m has the maximum degree in G (tested on the masks),
+    2. its canonical form is new among P's children, and
+    3. P is isomorphic to C minus its last vertex, where C is the graph in
+       canonical order that G's canonical form encodes.
+    The last vertex of C has maximum degree, so some neighborhood of the
+    one parent isomorphic to C minus it passes all three tests, and no
+    other parent passes test 3: every class appears once, with no
+    dictionary over all the children of a level.
+    """
     if not 1 <= n <= GENERATION_CEILING:
         raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")
-    level = [Graph(1)]
+    keys, graphs = [canonical_form(Graph(1))], [Graph(1)]
     for _ in range(n - 1):
-        seen = {}
-        for parent in level:
-            for child in _augmentations(parent):
-                key = canonical_form(child)
-                if key not in seen:
-                    seen[key] = child
-        level = [seen[k] for k in sorted(seen)]
-    graphs = [g for g in level if is_connected(g)] if connected else level
+        keys, graphs = _next_level(keys, graphs)
+    if connected:
+        graphs = [g for g in graphs if is_connected(g)]
     return Corpus(n, graphs, "generated", connected)
 
 
@@ -150,6 +201,8 @@ def _census(
 ):
     """`census`, returned after the canonical hex of every member, in corpus
     order, so that callers need not compute the keys again."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     verdicts, torn = _load_checkpoint(checkpoint)
     todo = []
     keys = []

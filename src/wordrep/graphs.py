@@ -91,11 +91,30 @@ class Graph:
         return f"Graph({self.n}, {self.edges()!r})"
 
 
+def _bit_table(width):
+    """Entry m is the ascending tuple of the set bits of m, for m < 2**width."""
+    table = [()]
+    for i in range(width):
+        table += [bits + (i,) for bits in table]
+    return table
+
+
+_TABLE_BITS = 12
+_BIT_TABLE = _bit_table(_TABLE_BITS)
+
+
 def _bits(mask):
+    """The positions of the set bits of `mask`, ascending.  Masks of up to
+    12 bits are looked up in a table built at import; wider ones, which only
+    the functions without a ceiling meet, are walked bit by bit."""
+    if not mask >> _TABLE_BITS:
+        return _BIT_TABLE[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 # -- unary operations ------------------------------------------------------
@@ -437,6 +456,12 @@ def canonical_form(g):
     tree has n! leaves.  Graphs with many automorphisms and no twins, such
     as the Petersen graph, still keep many equal least prefixes, since each
     automorphism maps one to another.
+
+    Refinement starts from degrees and only ever splits a cell into parts
+    ranked within it, so the cells stay in order of degree: the last cell
+    holds only vertices of maximum degree, and the vertex placed last is
+    one of them.  `_canonical_graph` decodes the bytes back into a graph in
+    this order.
     """
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
@@ -473,6 +498,23 @@ def canonical_form(g):
     total = n * (n - 1) // 2
     header = bytes([n]) + bytes(len(c) for c in cells)
     return header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
+
+
+def _canonical_graph(key):
+    """The graph that a `canonical_form` key encodes, with vertex k+1 the
+    vertex placed at position k."""
+    n = key[0]
+    adj = [0] * n
+    if n > 1:
+        total = n * (n - 1) // 2
+        bits = int.from_bytes(key[key.index(b"|") + 1 :], "big") >> (-total % 8)
+        for pos in range(n - 1, 0, -1):  # columns, last first
+            for p in range(pos - 1, -1, -1):
+                if bits & 1:
+                    adj[pos] |= 1 << p
+                    adj[p] |= 1 << pos
+                bits >>= 1
+    return _from_masks(n, adj)
 
 
 def is_isomorphic(g, h):

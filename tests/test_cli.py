@@ -197,6 +197,14 @@ def test_enumerate_count_and_minimal_share_one_census(capsys, monkeypatch):
     assert len(calls) == payload["corpus_size"] == 112
 
 
+def test_enumerate_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-2"):
+        code = main(["enumerate", "6", "--count-nonrep", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "jobs" in json.loads(captured.err)["error"]
+
+
 def test_enumerate_checkpoint_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WORDREP_CHECKPOINT_DIR", str(tmp_path))
     payload, code = run(capsys, "enumerate", "5", "--count-nonrep")

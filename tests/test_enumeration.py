@@ -1,10 +1,12 @@
 import itertools
+import os
 
 import pytest
 
-from conftest import all_labeled_graphs, brute_force_isomorphic
+from conftest import all_labeled_graphs, atlas_graphs, brute_force_isomorphic
 from wordrep import enumeration, families
 from wordrep.enumeration import (
+    GENERATION_CEILING,
     Corpus,
     census,
     corpus_from_graphs,
@@ -12,18 +14,71 @@ from wordrep.enumeration import (
     generate,
     minimal_non_representable,
     non_representable_members,
+    _augmentations,
 )
-from wordrep.graphs import CeilingExceeded, canonical_form, contains_induced, is_isomorphic
+from wordrep.graphs import (
+    CeilingExceeded,
+    Graph,
+    canonical_form,
+    contains_induced,
+    is_connected,
+    is_isomorphic,
+    _canonical_graph,
+)
 from wordrep.outcome import BudgetExhausted
 
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+def reference_generate(n, connected=True):
+    """Corpus of all non-isomorphic graphs on exactly n vertices."""
+    if not 1 <= n <= GENERATION_CEILING:
+        raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")
+    level = [Graph(1)]
+    for _ in range(n - 1):
+        seen = {}
+        for parent in level:
+            for child in _augmentations(parent):
+                key = canonical_form(child)
+                if key not in seen:
+                    seen[key] = child
+        level = [seen[k] for k in sorted(seen)]
+    graphs = [g for g in level if is_connected(g)] if connected else level
+    return Corpus(n, graphs, "generated", connected)
 
 
 def test_generate_counts_small():
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert len(generate(n, connected=False)) == ALL_COUNTS[n]
         assert len(generate(n, connected=True)) == CONNECTED_COUNTS[n]
+
+
+def test_generate_matches_reference():
+    # the same classes in the same order as deduplicating every child
+    for n in range(1, 8):
+        for connected in (False, True):
+            keys = [canonical_form(g) for g in generate(n, connected)]
+            assert keys == [canonical_form(g) for g in reference_generate(n, connected)]
+
+
+def test_canonical_last_vertex_has_maximum_degree():
+    # generate accepts a child only when its new vertex has maximum degree,
+    # which relies on this
+    for g in [g for g in atlas_graphs() if g.n]:
+        key = canonical_form(g)
+        c = _canonical_graph(key)
+        assert canonical_form(c) == key
+        assert c.degree(c.n) == max(c.degree(v) for v in c.vertices())
+
+
+@pytest.mark.skipif(
+    os.environ.get("WORDREP_SLOW") != "1", reason="about a minute; set WORDREP_SLOW=1"
+)
+def test_generate_counts_n9():
+    corpus = generate(9, connected=False)
+    assert len(corpus) == 274668  # OEIS A000088
+    assert sum(1 for g in corpus if is_connected(g)) == 261080  # OEIS A001349
 
 
 def test_generate_matches_brute_force_dedup():
@@ -45,7 +100,7 @@ def test_generate_no_isomorphic_pair():
 
 def test_generate_ceiling():
     with pytest.raises(CeilingExceeded):
-        generate(9)
+        generate(10)
 
 
 def test_corpus_agrees_with_external_graph6(tmp_path):

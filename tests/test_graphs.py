@@ -325,7 +325,8 @@ def _complete_multipartite(*parts):
 
 
 def test_canonical_form_matches_reference_on_augmentations():
-    # every child generate() canonicalizes on the way to 7 vertices
+    # every child of the 6-vertex graphs, of which generate() canonicalizes
+    # those whose new vertex has maximum degree
     children = [c for parent in generate(6, connected=False) for c in _augmentations(parent)]
     assert len(children) == 156 * 64
     for child in children:
