@@ -26,7 +26,7 @@ from .graphs import (
     _from_masks,
 )
 from .orientation import _decide, is_word_representable
-from .outcome import BudgetExhausted, _Budget
+from .outcome import BudgetExhausted, _Budget, _check_limits
 
 GENERATION_CEILING = 9
 FINAL_VERDICTS = ("representable", "non_representable")
@@ -142,14 +142,15 @@ def corpus_from_graphs(n, graphs, provenance, connected=True):
 
 
 def decide_graph(task):
-    """Worker: decide one graph given (key, n, edges, max_nodes, max_seconds),
-    where key is the graph's canonical hex, computed once by the caller.
+    """Worker: decide one graph given (key, adj, max_nodes, max_seconds),
+    where key is the graph's canonical hex, computed once by the caller, and
+    adj is the graph's tuple of neighbor masks (`Graph.adj`).
 
     Returns (key, verdict, nodes) where verdict is "representable",
     "non_representable", or "budget" when inconclusive.
     """
-    key, n, edges, max_nodes, max_seconds = task
-    outcome = _decide(Graph(n, edges), _Budget(max_nodes, max_seconds))
+    key, adj, max_nodes, max_seconds = task
+    outcome = _decide(_from_masks(len(adj), adj), _Budget(max_nodes, max_seconds))
     if not outcome.conclusive:
         return key, "budget", outcome.nodes_expanded
     verdict = "representable" if outcome.found else "non_representable"
@@ -203,6 +204,7 @@ def _census(
     order, so that callers need not compute the keys again."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    _check_limits(max_nodes, max_seconds)
     verdicts, torn = _load_checkpoint(checkpoint)
     todo = []
     keys = []
@@ -210,7 +212,7 @@ def _census(
         key = canonical_form(g).hex()
         keys.append(key)
         if key not in verdicts:
-            todo.append((key, g.n, tuple(g.edges()), max_nodes, max_seconds))
+            todo.append((key, g.adj, max_nodes, max_seconds))
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         if torn:

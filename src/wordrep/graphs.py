@@ -20,9 +20,13 @@ class CeilingExceeded(ValueError):
 
 
 class Graph:
-    """Simple graph with vertex set {1, ..., n} and symmetric, irreflexive edges."""
+    """Simple graph with vertex set {1, ..., n} and symmetric, irreflexive edges.
 
-    __slots__ = ("n", "adj")
+    `_key` holds the graph's canonical form once `canonical_form` has
+    computed it, and None until then; equality and hashing ignore it.
+    """
+
+    __slots__ = ("n", "adj", "_key")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -38,6 +42,7 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         self.n = n
         self.adj = tuple(adj)  # 0-indexed neighbor bitmasks
+        self._key = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -130,6 +135,7 @@ def _from_masks(n, masks):
     g = Graph.__new__(Graph)
     g.n = n
     g.adj = tuple(masks)
+    g._key = None
     return g
 
 
@@ -407,28 +413,49 @@ def contains_induced(g, h):
 def _refine_cells(g):
     """Order-invariant vertex partition by iterated neighbor-color counting.
 
-    Colors start as degrees; each round recolors a vertex by the rank of
-    (its color, the sorted tuple of its neighbors' colors) and stops once a
-    round splits no cell.  Returns a list of cells (lists of 0-indexed
-    vertices); the cell order and membership depend only on the isomorphism
-    type.
+    Colors start as the ranks of the degrees.  Each round recolors a vertex
+    by the rank of (its color, the sorted tuple of its neighbors' colors)
+    and stops once a round splits no cell.  Returns a list of cells (lists
+    of 0-indexed vertices); the cell order and membership depend only on
+    the isomorphism type.
+
+    The tuples are never built.  Colors only ever split degree classes, so
+    the vertices of one color have tuples of one length, and two such
+    tuples compare in the reverse order of their vectors of neighbor counts
+    per color, lowest color first: of two equally long sorted tuples, the
+    one with more neighbors of the lowest color where the counts differ is
+    the smaller.  The counts are read off one mask per color and packed in
+    base n+1 into an integer, so the signature (color, tuple) becomes one
+    integer of the same rank.
     """
     n = g.n
-    nbrs = [[u for u in range(n) if a >> u & 1] for a in g.adj]
-    color = [len(nb) for nb in nbrs]
-    k = len(set(color))
+    adj = g.adj
+    degrees = [a.bit_count() for a in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    color = [rank[d] for d in degrees]
+    k = len(rank)
+    base = n + 1
     while k < n:  # a discrete partition cannot split further
-        sig = [(c, tuple(sorted([color[u] for u in nb]))) for c, nb in zip(color, nbrs)]
+        masks = [0] * k
+        for v, c in enumerate(color):
+            masks[c] |= 1 << v
+        top = base**k - 1  # the largest packed count vector
+        sig = []
+        for c, a in zip(color, adj):
+            packed = 0
+            for mask in masks:
+                packed = packed * base + (a & mask).bit_count()
+            sig.append(c * (top + 1) + top - packed)
         palette = sorted(set(sig))
-        rank = {s: i for i, s in enumerate(palette)}
-        color = [rank[s] for s in sig]
         if len(palette) == k:
             break
+        rank = {s: i for i, s in enumerate(palette)}
+        color = [rank[s] for s in sig]
         k = len(palette)
-    cells = {}
+    cells = [[] for _ in range(k)]
     for v, c in enumerate(color):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells[c].append(v)
+    return cells
 
 
 def canonical_form(g):
@@ -462,9 +489,19 @@ def canonical_form(g):
     holds only vertices of maximum degree, and the vertex placed last is
     one of them.  `_canonical_graph` decodes the bytes back into a graph in
     this order.
+
+    The key is computed once per Graph object, on the first call, and kept
+    on the object; later calls return it.
     """
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
+    if g._key is None:
+        g._key = _canonical_key(g)
+    return g._key
+
+
+def _canonical_key(g):
+    """`canonical_form` of g, computed afresh."""
     n = g.n
     if n == 0:
         return b"\x00"

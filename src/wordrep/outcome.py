@@ -52,14 +52,26 @@ class _OutOfBudget(Exception):
     catches it."""
 
 
+def _check_limits(max_nodes=None, max_seconds=None):
+    """Raise ValueError unless each limit is None or non-negative."""
+    for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if limit is not None and limit < 0:
+            raise ValueError(f"{name} must be non-negative, not {limit}")
+
+
 class _Budget:
-    """Node/time budget shared by the backtracking searches."""
+    """Node/time budget shared by the backtracking searches.
+
+    A limit of None is no limit; a limit of 0 stops the search at its first
+    node.  The clock is read at the first node and every 256th after it.
+    """
 
     __slots__ = ("max_nodes", "deadline", "nodes")
 
     def __init__(self, max_nodes=None, max_seconds=None):
+        _check_limits(max_nodes, max_seconds)
         self.max_nodes = max_nodes
-        self.deadline = time.monotonic() + max_seconds if max_seconds else None
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
         self.nodes = 0
 
     def tick(self):
@@ -68,8 +80,8 @@ class _Budget:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _OutOfBudget
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
+        if self.deadline is not None and self.nodes % 256 == 1:
+            if time.monotonic() >= self.deadline:
                 raise _OutOfBudget
         return True
 

@@ -231,6 +231,22 @@ def test_input_error_exit_code(capsys):
     assert "error" in captured.err
 
 
+def test_negative_limits_exit_2(capsys, monkeypatch):
+    calls = []
+    decide = enumeration.decide_graph
+    monkeypatch.setattr(enumeration, "decide_graph", lambda task: calls.append(task) or decide(task))
+    for argv in (
+        ["enumerate", "4", "--count-nonrep", "--max-nodes", "-1"],
+        ["enumerate", "4", "--count-nonrep", "--max-seconds", "-1"],
+        ["decide", "family:petersen", "--max-nodes", "-1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be non-negative" in json.loads(captured.err)["error"]
+    assert calls == []  # the census stops before deciding any graph
+
+
 def test_deterministic_output(capsys):
     a, _ = run(capsys, "represent", "family:cycle:6", "--k", "2")
     b, _ = run(capsys, "represent", "family:cycle:6", "--k", "2")

@@ -1,10 +1,11 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_labeled_graphs, brute_force_isomorphic, relabel
-from wordrep import families
+from wordrep import families, graphs
 from wordrep.enumeration import _augmentations, generate
 from wordrep.graphs import (
     CANONICAL_CEILING,
@@ -29,6 +30,8 @@ from wordrep.graphs import (
     rooted_product,
     subdivide,
     substitute_module,
+    _from_masks,
+    _refine_cells,
 )
 
 
@@ -358,12 +361,17 @@ def test_canonical_form_at_ceiling_twins(rng):
 
 
 @st.composite
-def relabeled_pairs(draw):
-    n = draw(st.integers(min_value=1, max_value=CANONICAL_CEILING))
+def graphs_upto_ceiling(draw):
+    n = draw(st.integers(min_value=0, max_value=CANONICAL_CEILING))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
-    return g, relabel(g, tuple(draw(st.permutations(range(n)))))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def relabeled_pairs(draw):
+    g = draw(graphs_upto_ceiling())
+    return g, relabel(g, tuple(draw(st.permutations(range(g.n)))))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -374,8 +382,107 @@ def test_canonical_form_invariant_property(pair):
 
 
 def test_canonical_ceiling():
-    with pytest.raises(CeilingExceeded):
-        canonical_form(families.empty(11))
+    g = families.empty(11)
+    for _ in range(2):  # no key is stored, so every call raises
+        with pytest.raises(CeilingExceeded):
+            canonical_form(g)
+
+
+# `_refine_cells` as it was when it sorted a tuple of neighbour colours for
+# every vertex in every round, kept verbatim apart from its name.  The
+# refinement on colour masks must give the same cells in the same order,
+# since the canonical bytes list the cell sizes and order the placements.
+
+
+def _sorting_refine_cells(g):
+    n = g.n
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in g.adj]
+    color = [len(nb) for nb in nbrs]
+    k = len(set(color))
+    while k < n:  # a discrete partition cannot split further
+        sig = [(c, tuple(sorted([color[u] for u in nb]))) for c, nb in zip(color, nbrs)]
+        palette = sorted(set(sig))
+        rank = {s: i for i, s in enumerate(palette)}
+        color = [rank[s] for s in sig]
+        if len(palette) == k:
+            break
+        k = len(palette)
+    cells = {}
+    for v, c in enumerate(color):
+        cells.setdefault(c, []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def test_refine_cells_matches_sorting_reference_on_augmentations():
+    # every child of every graph on up to 6 vertices: all graphs to n = 7,
+    # in every labelling generate() builds
+    count = 0
+    for n in range(1, 7):
+        for parent in generate(n, connected=False):
+            for child in _augmentations(parent):
+                assert _refine_cells(child) == _sorting_refine_cells(child)
+                count += 1
+    assert count == sum(k * 2**n for n, k in {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}.items())
+
+
+def test_refine_cells_matches_sorting_reference_random(rng):
+    for _ in range(2000):
+        n = rng.randint(0, CANONICAL_CEILING)
+        p = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+        assert _refine_cells(g) == _sorting_refine_cells(g)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_upto_ceiling())
+def test_refine_cells_matches_sorting_reference_property(g):
+    assert _refine_cells(g) == _sorting_refine_cells(g)
+
+
+# -- the canonical key kept on each Graph -------------------------------------
+
+
+def test_canonical_key_computed_once_per_object(monkeypatch):
+    calls = []
+    compute = graphs._canonical_key
+    monkeypatch.setattr(graphs, "_canonical_key", lambda g: calls.append(g) or compute(g))
+    g = families.petersen()
+    key = canonical_form(g)
+    assert canonical_form(g) is key and calls == [g]
+    h = Graph(g.n, g.edges())  # an equal graph is another object
+    assert canonical_form(h) == key and len(calls) == 2
+
+
+def test_derived_graphs_start_without_a_key():
+    g = families.wheel(5)
+    canonical_form(g)
+    assert g._key is not None
+    derived = [
+        Graph(g.n, g.edges()),
+        _from_masks(g.n, g.adj),
+        complement(g),
+        delete_vertex(g, 6),
+        relabel(g, (1, 2, 3, 4, 5, 0)),
+    ]
+    for h in derived:
+        assert h._key is None
+
+
+def test_pickle_keeps_the_key():
+    g = families.petersen()
+    fresh = pickle.loads(pickle.dumps(g))
+    assert fresh == g and fresh._key is None
+    key = canonical_form(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._key == key
+
+
+def test_equality_and_hash_ignore_the_key():
+    g, h = families.cycle(6), families.cycle(6)
+    canonical_form(g)
+    assert g._key is not None and h._key is None
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h}) == 1
 
 
 def test_automorphisms():

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from wordrep import families
+from wordrep.orientation import find_semi_transitive
 from wordrep.outcome import (
     BUDGET_EXHAUSTED,
     REFUTED,
@@ -21,6 +23,24 @@ def test_tick_raises_once_the_budget_is_spent():
     assert budget.nodes == 3
     unbounded = _Budget()
     assert all(unbounded.tick() for _ in range(1000))
+
+
+def test_zero_limits_stop_at_the_first_node():
+    for limits in ({"max_nodes": 0}, {"max_seconds": 0}):
+        budget = _Budget(**limits)
+        with pytest.raises(_OutOfBudget):
+            budget.tick()
+        assert budget.nodes == 1
+        out = find_semi_transitive(families.petersen(), **limits)
+        assert (out.status, out.nodes_expanded) == (BUDGET_EXHAUSTED, 1)
+
+
+def test_negative_limits_are_rejected():
+    for limits in ({"max_nodes": -1}, {"max_seconds": -0.5}):
+        with pytest.raises(ValueError):
+            _Budget(**limits)
+        with pytest.raises(ValueError):
+            find_semi_transitive(families.petersen(), **limits)
 
 
 def _kernel(budget, ticks, result):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_word_graph, words_over
 from wordrep import families
@@ -66,6 +67,29 @@ def test_word_to_graph_matches_definition(rng):
         if len(set(w)) != n:
             continue
         assert word_to_graph(w) == brute_force_word_graph(w)
+
+
+@st.composite
+def words_with_full_alphabet(draw):
+    """Words over exactly {1..n}: every letter at least once, in any order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    extra = draw(st.lists(st.integers(min_value=1, max_value=n), max_size=12))
+    return tuple(draw(st.permutations(list(range(1, n + 1)) + extra)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(words_with_full_alphabet())
+def test_word_to_graph_matches_definition_property(w):
+    assert word_to_graph(w) == brute_force_word_graph(w)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(words_with_full_alphabet())
+def test_extend_to_uniform_preserves_graph_property(w):
+    u = extend_to_uniform(w)
+    assert is_uniform(u, max(w.count(c) for c in w))
+    assert u[len(u) - len(w) :] == w  # letters are only prepended
+    assert word_to_graph(u) == word_to_graph(w) == brute_force_word_graph(w)
 
 
 def test_initial_permutation():
