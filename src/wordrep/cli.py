@@ -187,7 +187,7 @@ def cmd_represent(args):
             "refutation_complete": outcome.detail["exhaustive"],
         }
         return payload, EXIT_OK if outcome.found else EXIT_NEGATIVE
-    if args.k:
+    if args.k is not None:
         outcome = find_k_uniform_word(g, args.k, **_budget_kw(args)).require_conclusive()
         payload = {
             "verdict": outcome.found,
@@ -237,6 +237,13 @@ def cmd_family(args):
 
 def cmd_op(args):
     name = args.name
+
+    def needed(option):
+        value = getattr(args, option)
+        if value is None:
+            raise ValueError(f"op {name} needs --{option}")
+        return value
+
     g = parse_graph(args.graph)
     if name == "complement":
         result = complement(g)
@@ -245,17 +252,17 @@ def cmd_op(args):
     elif name == "apex":
         result = add_apex(g)
     elif name == "cartesian":
-        result = cartesian_product(g, parse_graph(args.other))
+        result = cartesian_product(g, parse_graph(needed("other")))
     elif name == "rooted":
-        result = rooted_product(g, parse_graph(args.other), args.root)
+        result = rooted_product(g, parse_graph(needed("other")), args.root)
     elif name == "module":
-        result = substitute_module(g, args.vertex, parse_graph(args.other))
+        result = substitute_module(g, args.vertex, parse_graph(needed("other")))
     elif name == "subdivide":
-        result = subdivide(g, tuple(args.edge), args.parts)
+        result = subdivide(g, tuple(needed("edge")), args.parts)
     elif name == "contract":
-        result = contract_edge(g, tuple(args.edge))
+        result = contract_edge(g, tuple(needed("edge")))
     elif name == "glue":
-        h = parse_graph(args.other)
+        h = parse_graph(needed("other"))
         if args.mode == "at-vertex":
             result = glue_at_vertex(g, h, args.u, args.v)
         else:

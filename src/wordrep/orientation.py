@@ -12,14 +12,18 @@ certificate routes.  Transitive orientations come from Golumbic's TRO
 algorithm (*Algorithmic Graph Theory and Perfect Graphs*, ch. 5), which
 orients one implication class at a time.  It runs in polynomial time and
 always reaches a verdict, so it takes no budget, and its `nodes_expanded`
-counts implication classes.  Every neighborhood of a word-representable
-graph is a comparability graph, which gives the fast necessary test
-`neighborhood_filter`.
+counts implication classes.  A transitive orientation is semi-transitive,
+so a comparability graph is decided by its TRO witness alone.  Every
+neighborhood of a word-representable graph is a comparability graph, which
+gives the fast necessary test `neighborhood_filter`.  The decision
+procedure `_decide` takes these routes in turn: comparability, then the
+filter, then the search.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from .graphs import CeilingExceeded, _bits
 from .outcome import (
@@ -420,9 +424,13 @@ def is_permutationally_representable(g):
 def neighborhood_filter(g):
     """Necessary condition: every vertex neighborhood of a word-representable
     graph is a comparability graph.  Returns the first failing vertex or None.
-    TRO runs on g's masks cut to the neighborhood, other vertices' zeroed."""
+    TRO runs on g's masks cut to the neighborhood, other vertices' zeroed.
+    Vertices of degree below 5 are skipped: every graph on at most 4
+    vertices is a comparability graph (C5 is the only one on 5 that is not)."""
     adj = g.adj
     for v, hood in enumerate(adj):
+        if hood.bit_count() < 5:
+            continue
         cut = [a & hood if hood >> u & 1 else 0 for u, a in enumerate(adj)]
         if _comparability(cut)[0] is None:
             return v + 1
@@ -430,20 +438,31 @@ def neighborhood_filter(g):
 
 
 def _decide(g, budget):
-    """The decision procedure: a refutation with no search nodes when some
-    neighborhood is not a comparability graph, else the semi-transitive
-    orientation search, whose witness is the certificate.  A comparability
-    graph skips the filter: its neighborhoods are comparability graphs too."""
+    """The decision procedure, as one outcome whose `detail["route"]` names
+    the route that settled it:
+
+    - "comparability": TRO's transitive orientation, checked by
+      `_comparability`, is the witness, since a transitive orientation is
+      semi-transitive; neither the filter nor the search runs;
+    - "filter": some neighborhood (its vertex in `detail["vertex"]`) is not
+      a comparability graph, a refutation with no search nodes;
+    - "search": the semi-transitive orientation search under `budget`.
+    """
     if g.n > ORIENTATION_CEILING:
         raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
-    if not find_transitive(g).found and neighborhood_filter(g) is not None:
-        return SearchOutcome(REFUTED)
-    return find_semi_transitive(g, budget=budget)
+    tro = find_transitive(g)
+    if tro.found:
+        return replace(tro, detail={"route": "comparability"})
+    v = neighborhood_filter(g)
+    if v is not None:
+        return SearchOutcome(REFUTED, detail={"route": "filter", "vertex": v})
+    return replace(find_semi_transitive(g, budget=budget), detail={"route": "search"})
 
 
 def is_word_representable(g, max_nodes=None, max_seconds=None):
-    """Decide word-representability: fast neighborhood refutation first, then
-    the full semi-transitive orientation search."""
+    """Decide word-representability: a transitive orientation settles a
+    comparability graph, else a failing neighborhood refutes it, else the
+    full semi-transitive orientation search decides."""
     return _decide(g, _Budget(max_nodes, max_seconds)).require_conclusive().found
 
 

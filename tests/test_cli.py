@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,3 +370,98 @@ def test_malformed_files_exit_2(tmp_path):
         assert code == 2 and "Traceback" not in text, name
     code, text = _main_quietly(["decide", str(tmp_path / "missing.g6")])
     assert code == 2 and "Traceback" not in text
+
+
+def test_op_without_its_other_graph_or_edge_exits_2(capsys):
+    for name, option in (
+        ("subdivide", "--edge"),
+        ("contract", "--edge"),
+        ("cartesian", "--other"),
+        ("rooted", "--other"),
+        ("module", "--other"),
+        ("glue", "--other"),
+    ):
+        assert main(["op", name, "family:path:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == f"op {name} needs {option}"
+
+
+def test_represent_k_below_one_exits_2(capsys):
+    for k in ("0", "-1"):
+        assert main(["represent", "family:cycle:5", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "k must be at least 1"
+
+
+# -- no input makes the CLI print a traceback -------------------------------------
+
+# One small invocation per subcommand (and per operation of `op`), naming
+# every graph and edge argument that it may take.
+_SWEEP_BASES = [
+    ["check-word", "1213423", "--graph", "edges:4:1-2,2-3,2-4,3-4"],
+    ["word-graph", "1213423"],
+    ["orient-word", "1213423"],
+    ["decide", "family:cycle:5"],
+    ["orient", "family:cycle:5"],
+    ["represent", "family:cycle:5"],
+    ["represent", "family:cycle:5", "--k", "2"],
+    ["represent", "family:cycle:5", "--pattern", "132"],
+    ["repnum", "family:cycle:5"],
+    ["perm-repnum", "family:cycle:4"],
+    ["family", "cycle:5"],
+    *(
+        ["op", name, "family:path:3", "--other", "family:path:2", "--edge", "1", "2"]
+        for name in (
+            "complement", "line", "cartesian", "rooted", "module",
+            "apex", "subdivide", "contract", "glue",
+        )
+    ),
+    ["op", "glue", "family:path:3", "--other", "family:path:2", "--mode", "by-edge"],
+    ["enumerate", "4", "--count-nonrep", "--minimal"],
+    ["pattern-count", "family:complete:3", "--pattern", "132", "--max-len", "4"],
+]
+_GRAPH_OPTIONS = {"--graph": 1, "--other": 1, "--edge": 2}
+
+
+def _sweep_cases():
+    """Each base with one graph or edge option left out, and with 0 and -1
+    for each of its subcommand's numeric arguments, positional or not."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    assert {base[0] for base in _SWEEP_BASES} == set(subparsers.choices)
+    cases = []
+    for base in _SWEEP_BASES:
+        cases.append(base)
+        for option, arity in _GRAPH_OPTIONS.items():
+            if option in base:
+                i = base.index(option)
+                cases.append(base[:i] + base[i + 1 + arity :])
+        positionals = []
+        for action in subparsers.choices[base[0]]._actions:
+            if not action.option_strings:
+                positionals.append(action)
+            if action.type not in (int, float):
+                continue
+            for value in ("0", "-1"):
+                if action.option_strings:
+                    cases.append(base + [action.option_strings[0]] + [value] * (action.nargs or 1))
+                else:
+                    i = 1 + positionals.index(action)
+                    cases.append(base[:i] + [value] + base[i + 1 :])
+    return cases
+
+
+@pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
+def test_cli_sweep_prints_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception:
+            code = None
+            traceback.print_exc()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()

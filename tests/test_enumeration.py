@@ -232,7 +232,9 @@ def test_checkpoint_torn_last_line(tmp_path):
 
 
 def test_census_budget_abort():
-    corpus = Corpus(8, [families.crown(4), families.wheel(7)])
+    # co-T2 passes the filter and its search needs 29 nodes; W6 is a
+    # comparability graph, settled with no search
+    corpus = Corpus(7, [families.co_t2(), families.wheel(6)])
     with pytest.raises(BudgetExhausted):
         census(corpus, max_nodes=3)
 

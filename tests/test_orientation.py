@@ -14,6 +14,7 @@ from wordrep.graphs import (
     Graph,
     _bits,
     add_apex,
+    canonical_form,
     induced_subgraph,
     is_connected,
     line_graph,
@@ -217,17 +218,28 @@ def test_decide_is_the_filter_then_the_search():
 
 
 def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
-    filtered = []
-    real = orientation.neighborhood_filter
+    filtered, searched = [], []
+    real_filter, real_search = orientation.neighborhood_filter, orientation.find_semi_transitive
     monkeypatch.setattr(
-        orientation, "neighborhood_filter", lambda g: filtered.append(g) or real(g)
+        orientation, "neighborhood_filter", lambda g: filtered.append(g) or real_filter(g)
     )
-    for g in (families.crown(4), families.complete(6), families.path(7)):
-        out, search = _decide(g, _Budget()), find_semi_transitive(g)
-        assert (out.witness, out.nodes_expanded) == (search.witness, search.nodes_expanded)
-    assert filtered == []
-    assert _decide(families.wheel(5), _Budget()).refuted
-    assert filtered == [families.wheel(5)]
+    monkeypatch.setattr(
+        orientation,
+        "find_semi_transitive",
+        lambda g, **kw: searched.append(g) or real_search(g, **kw),
+    )
+    for g in (families.crown(4), families.complete(6), families.path(7), families.empty(3)):
+        out, tro = _decide(g, _Budget()), find_transitive(g)
+        assert out.found and out.detail == {"route": "comparability"}
+        assert (out.witness, out.nodes_expanded) == (tro.witness, tro.nodes_expanded)
+        assert is_semi_transitive(out.witness)
+    assert filtered == searched == []
+    out = _decide(families.wheel(5), _Budget())
+    assert out.refuted and out.detail == {"route": "filter", "vertex": 6}
+    assert filtered == [families.wheel(5)] and searched == []
+    out = _decide(families.prism(3), _Budget())
+    assert out.found and out.detail == {"route": "search"}
+    assert searched == [families.prism(3)]
 
 
 def test_neighborhood_filter():
@@ -252,6 +264,28 @@ def test_neighborhood_filter_matches_reference():
         assert v == reference_neighborhood_filter(g), g
         hits += v is not None
     assert hits == 21 + 137  # atlas graphs, random graphs
+
+
+def test_graphs_below_five_vertices_are_comparability_graphs():
+    # why `neighborhood_filter` may skip every vertex of degree below 5
+    for n in range(1, 5):
+        assert all(find_transitive(g).found for g in generate_all(n)), n
+    failing = [g for g in generate_all(5) if not find_transitive(g).found]
+    assert [canonical_form(g) for g in failing] == [canonical_form(families.cycle(5))]
+
+
+def test_decide_routes_agree_with_the_search():
+    routes = set()
+    for g in atlas_graphs() + _random_connected(300, seed=13):
+        out = _decide(g, _Budget())
+        routes.add(out.detail["route"])
+        assert out.found == find_semi_transitive(g).found, g
+        if out.detail["route"] == "comparability":
+            assert is_semi_transitive(out.witness), g
+        elif out.detail["route"] == "filter":
+            assert out.refuted and out.nodes_expanded == 0, g
+            assert out.detail["vertex"] == neighborhood_filter(g), g
+    assert routes == {"comparability", "filter", "search"}
 
 
 def test_comparability_has_no_ceiling():
@@ -452,8 +486,8 @@ trans = raises(lambda: orientation.find_transitive(families.path(3)))
 # no arcs at all is no transitive orientation of C4
 orientation._transitive_orientation = lambda adj: ([0] * len(adj), 1)
 trans_empty = raises(lambda: orientation.find_transitive(families.cycle(4)))
-# nor of the edge 2-3 in the neighbourhood of vertex 1 of K3
-hood = raises(lambda: orientation.neighborhood_filter(families.complete(3)))
+# nor of the K5 that is each vertex's neighbourhood in K6
+hood = raises(lambda: orientation.neighborhood_filter(families.complete(6)))
 # blind to neighbours, the coloring search paints K3 with one color
 orientation._bits = lambda mask: iter(())
 color = raises(lambda: orientation.three_color(families.complete(3)))
