@@ -175,6 +175,8 @@ def cmd_orient(args):
 
 def cmd_represent(args):
     g = parse_graph(args.graph)
+    if args.pattern and args.k is not None:
+        raise ValueError("--pattern and --k cannot be combined")
     if args.pattern:
         outcome = find_pattern_avoiding_word(
             g, parse_word(args.pattern), **_budget_kw(args)

@@ -2,9 +2,9 @@
 non-word-representable ones.
 
 Generation is by canonical augmentation: level n is built from level n-1 by
-attaching a new vertex of maximum degree, and a child is kept only from the
-one parent isomorphic to its canonical graph minus the last vertex, so each
-isomorphism class appears exactly once.  Representability decisions
+attaching a new vertex of maximum degree, and a child is kept only when the
+new vertex is in the orbit of its canonical last vertex, so each isomorphism
+class appears exactly once.  Representability decisions
 are independent per graph and can be distributed over worker processes; a
 line-oriented checkpoint file makes long runs resumable.
 """
@@ -22,7 +22,6 @@ from .graphs import (
     canonical_form,
     delete_vertex,
     is_connected,
-    _canonical_graph,
     _from_masks,
 )
 from .orientation import _decide, is_word_representable
@@ -75,28 +74,20 @@ def _max_degree_hoods(parent):
     ]
 
 
-def _next_level(keys, graphs):
-    """The next level by canonical augmentation, as canonical forms in
-    increasing order and their graphs, from the current one in the same
-    form."""
-    graph_of = dict(zip(keys, graphs))
-    parent_of = {}  # child key -> the graph of the level isomorphic to C - last
-    child_keys, children = [], []
+def _next_level(graphs):
+    """The next level by canonical augmentation, in increasing order of
+    canonical form, from the current one in the same order."""
+    level = []
     for parent in graphs:
+        new_vertex = 1 << parent.n
         seen = set()
         for child in _augmentations(parent, _max_degree_hoods(parent)):
             key = canonical_form(child)
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in parent_of:
-                c = _canonical_graph(key)
-                parent_of[key] = graph_of[canonical_form(delete_vertex(c, c.n))]
-            if parent_of[key] is parent:
-                child_keys.append(key)
-                children.append(child)
-    order = sorted(range(len(child_keys)), key=child_keys.__getitem__)
-    return [child_keys[i] for i in order], [children[i] for i in order]
+            if child._last & new_vertex and key not in seen:
+                seen.add(key)
+                level.append((key, child))
+    level.sort(key=lambda pair: pair[0])
+    return [child for _, child in level]
 
 
 def generate(n, connected=True):
@@ -107,19 +98,24 @@ def generate(n, connected=True):
     "Isomorph-free exhaustive generation", 1998).  A child G is a parent P
     plus vertex m with some neighborhood, and is kept when
     1. m has the maximum degree in G (tested on the masks),
-    2. its canonical form is new among P's children, and
-    3. P is isomorphic to C minus its last vertex, where C is the graph in
-       canonical order that G's canonical form encodes.
-    The last vertex of C has maximum degree, so some neighborhood of the
-    one parent isomorphic to C minus it passes all three tests, and no
-    other parent passes test 3: every class appears once, with no
-    dictionary over all the children of a level.
+    2. m is in the orbit of the canonical last vertex of G, the mask
+       `G._last` that `canonical_form` leaves, and
+    3. its canonical form is new among P's children kept so far.
+    Every class appears once.  Take any graph of the class and its
+    canonical last vertex x, which has maximum degree: the parent
+    isomorphic to it minus x has a child isomorphic to it with m in place
+    of x, which passes tests 1 and 2.  A child passing test 2 is its graph
+    minus a vertex of that orbit, and all such deletions are isomorphic, so
+    no other parent passes it.  Two children of P that pass it are
+    isomorphic only by a map fixing m, which an automorphism of P induces,
+    and test 3 keeps the first.  No dictionary spans all the children of a
+    level.
     """
     if not 1 <= n <= GENERATION_CEILING:
         raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")
-    keys, graphs = [canonical_form(Graph(1))], [Graph(1)]
+    graphs = [Graph(1)]
     for _ in range(n - 1):
-        keys, graphs = _next_level(keys, graphs)
+        graphs = _next_level(graphs)
     if connected:
         graphs = [g for g in graphs if is_connected(g)]
     return Corpus(n, graphs, "generated", connected)

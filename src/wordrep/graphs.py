@@ -23,10 +23,12 @@ class Graph:
     """Simple graph with vertex set {1, ..., n} and symmetric, irreflexive edges.
 
     `_key` holds the graph's canonical form once `canonical_form` has
-    computed it, and None until then; equality and hashing ignore it.
+    computed it, and None until then.  `canonical_form` also sets `_last`,
+    the mask of the vertices that can be placed last in canonical order,
+    which is unset before.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "adj", "_key")
+    __slots__ = ("n", "adj", "_key", "_last")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -487,8 +489,16 @@ def canonical_form(g):
     Refinement starts from degrees and only ever splits a cell into parts
     ranked within it, so the cells stay in order of degree: the last cell
     holds only vertices of maximum degree, and the vertex placed last is
-    one of them.  `_canonical_graph` decodes the bytes back into a graph in
-    this order.
+    one of them.
+
+    The search also yields `g._last`, the mask of the vertices that end a
+    least ordering: the last vertices of the orderings that survive, each
+    with its earlier twins.  That is the orbit of the canonical last vertex
+    under the automorphisms of g.  Any two least orderings differ by an
+    automorphism, so every vertex of the orbit ends one.  Twin pruning
+    keeps, for every least ordering, its rearrangement that lists each twin
+    class in cell order, which ends in the last-listed twin of the same
+    class; the earlier twins put back the rest of the class.
 
     The key is computed once per Graph object, on the first call, and kept
     on the object; later calls return it.
@@ -496,15 +506,15 @@ def canonical_form(g):
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
     if g._key is None:
-        g._key = _canonical_key(g)
+        g._key, g._last = _canonical_key(g)
     return g._key
 
 
 def _canonical_key(g):
-    """`canonical_form` of g, computed afresh."""
+    """`canonical_form` of g and the mask `_last`, computed afresh."""
     n = g.n
     if n == 0:
-        return b"\x00"
+        return b"\x00", 0
     adj = g.adj
     cells = _refine_cells(g)
     earlier_twins = [0] * n  # mask of v's twins listed before v in its cell
@@ -532,26 +542,13 @@ def _canonical_key(g):
                     survivors.append((placed + (v,), unused & ~(1 << v)))
         bits = bits << pos | least
         level = survivors
+    last = 0
+    for placed, _ in level:
+        last |= 1 << placed[-1] | earlier_twins[placed[-1]]
     total = n * (n - 1) // 2
     header = bytes([n]) + bytes(len(c) for c in cells)
-    return header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
-
-
-def _canonical_graph(key):
-    """The graph that a `canonical_form` key encodes, with vertex k+1 the
-    vertex placed at position k."""
-    n = key[0]
-    adj = [0] * n
-    if n > 1:
-        total = n * (n - 1) // 2
-        bits = int.from_bytes(key[key.index(b"|") + 1 :], "big") >> (-total % 8)
-        for pos in range(n - 1, 0, -1):  # columns, last first
-            for p in range(pos - 1, -1, -1):
-                if bits & 1:
-                    adj[pos] |= 1 << p
-                    adj[p] |= 1 << pos
-                bits >>= 1
-    return _from_masks(n, adj)
+    key = header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
+    return key, last
 
 
 def is_isomorphic(g, h):

@@ -401,6 +401,8 @@ def permutational_representation_number(g, max_p=3):
     extensions of P, each kept transitively closed, branching on the
     unreversed pair that the fewest extensions can still take.
     """
+    if max_p < 1:
+        raise ValueError("max_p must be at least 1")
     if g.n > ORIENTATION_CEILING:
         raise CeilingExceeded(f"permutation search supports n <= {ORIENTATION_CEILING}")
     n = g.n

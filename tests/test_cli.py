@@ -395,6 +395,22 @@ def test_represent_k_below_one_exits_2(capsys):
         assert json.loads(captured.err)["error"] == "k must be at least 1"
 
 
+def test_perm_repnum_max_p_below_one_exits_2(capsys):
+    for max_p in ("0", "-1"):
+        assert main(["perm-repnum", "family:cycle:4", "--max-p", max_p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "max_p must be at least 1"
+
+
+def test_represent_pattern_with_k_exits_2(capsys):
+    for k in ("0", "2"):
+        assert main(["represent", "family:cycle:5", "--pattern", "132", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "--pattern and --k cannot be combined"
+
+
 # -- no input makes the CLI print a traceback -------------------------------------
 
 # One small invocation per subcommand (and per operation of `op`), naming
@@ -408,6 +424,7 @@ _SWEEP_BASES = [
     ["represent", "family:cycle:5"],
     ["represent", "family:cycle:5", "--k", "2"],
     ["represent", "family:cycle:5", "--pattern", "132"],
+    ["represent", "family:cycle:5", "--pattern", "132", "--k", "2"],
     ["repnum", "family:cycle:5"],
     ["perm-repnum", "family:cycle:4"],
     ["family", "cycle:5"],

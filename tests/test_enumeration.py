@@ -23,7 +23,9 @@ from wordrep.graphs import (
     contains_induced,
     is_connected,
     is_isomorphic,
-    _canonical_graph,
+    automorphisms,
+    _bits,
+    _refine_cells,
 )
 from wordrep.outcome import BudgetExhausted
 
@@ -66,14 +68,35 @@ def test_canonical_last_vertex_has_maximum_degree():
     # generate accepts a child only when its new vertex has maximum degree,
     # which relies on this
     for g in [g for g in atlas_graphs() if g.n]:
-        key = canonical_form(g)
-        c = _canonical_graph(key)
-        assert canonical_form(c) == key
-        assert c.degree(c.n) == max(c.degree(v) for v in c.vertices())
+        canonical_form(g)
+        top = max(a.bit_count() for a in g.adj)
+        last_cell = _refine_cells(g)[-1]
+        assert g._last
+        for v in _bits(g._last):
+            assert g.adj[v].bit_count() == top and v in last_cell
+
+
+def test_last_is_the_orbit_of_the_canonical_last_vertex():
+    # generate's orbit test reads the orbit off this mask
+    for g in [g for g in atlas_graphs() if g.n]:
+        canonical_form(g)
+        auts = automorphisms(g)
+        for x in _bits(g._last):
+            assert g._last == sum({1 << p[x] for p in auts})
+
+
+def test_generated_graphs_end_a_least_ordering():
+    # every member was kept with its last vertex as the new one, so a fresh
+    # canonical search must find that vertex among the last
+    for n in range(1, 9):
+        for g in generate(n, connected=False):
+            fresh = Graph(n, g.edges())
+            canonical_form(fresh)
+            assert fresh._last >> (n - 1) & 1
 
 
 @pytest.mark.skipif(
-    os.environ.get("WORDREP_SLOW") != "1", reason="about a minute; set WORDREP_SLOW=1"
+    os.environ.get("WORDREP_SLOW") != "1", reason="about 45 s; set WORDREP_SLOW=1"
 )
 def test_generate_counts_n9():
     corpus = generate(9, connected=False)

@@ -381,6 +381,15 @@ def test_canonical_form_invariant_property(pair):
     assert canonical_form(g) == canonical_form(h)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_upto_ceiling(), st.data())
+def test_last_follows_relabeling_property(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabel(g, tuple(perm))
+    assert canonical_form(h) == canonical_form(g)
+    assert h._last == sum(1 << perm[v] for v in range(g.n) if g._last >> v & 1)
+
+
 def test_canonical_ceiling():
     g = families.empty(11)
     for _ in range(2):  # no key is stored, so every call raises
@@ -474,7 +483,7 @@ def test_pickle_keeps_the_key():
     assert fresh == g and fresh._key is None
     key = canonical_form(g)
     copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and copy._key == key
+    assert copy == g and copy._key == key and copy._last == g._last
 
 
 def test_equality_and_hash_ignore_the_key():

@@ -216,6 +216,9 @@ def test_perm_number_two_matches_brute_force():
 def test_perm_ceiling():
     with pytest.raises(CeilingExceeded):
         permutational_representation_number(families.empty(13))
+    for max_p in (0, -1):
+        with pytest.raises(ValueError, match="max_p must be at least 1"):
+            permutational_representation_number(families.cycle(4), max_p=max_p)
 
 
 # -- reference searches -----------------------------------------------------------
