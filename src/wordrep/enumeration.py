@@ -2,7 +2,8 @@
 non-word-representable ones.
 
 Generation is by canonical augmentation: level n is built from level n-1 by
-attaching a new vertex of maximum degree, and a child is kept only when the
+attaching a new vertex of maximum degree, with one neighborhood from each
+orbit of the parent's automorphism group, and a child is kept only when the
 new vertex is in the orbit of its canonical last vertex, so each isomorphism
 class appears exactly once.  Representability decisions
 are independent per graph and can be distributed over worker processes; a
@@ -22,6 +23,8 @@ from .graphs import (
     canonical_form,
     delete_vertex,
     is_connected,
+    _automorphism_generators,
+    _bits,
     _from_masks,
 )
 from .orientation import _decide, is_word_representable
@@ -74,17 +77,40 @@ def _max_degree_hoods(parent):
     ]
 
 
+def _orbit_firsts(masks, gens):
+    """The least mask of each orbit, in increasing order, of the vertex
+    masks `masks` (listed in increasing order and closed under the group)
+    under the group that the permutations `gens` generate."""
+    seen = set()
+    firsts = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        firsts.append(mask)
+        seen.add(mask)
+        todo = [mask]
+        while todo:
+            m = todo.pop()
+            for perm in gens:
+                image = 0
+                for v in _bits(m):
+                    image |= 1 << perm[v]
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return firsts
+
+
 def _next_level(graphs):
     """The next level by canonical augmentation, in increasing order of
     canonical form, from the current one in the same order."""
     level = []
     for parent in graphs:
         new_vertex = 1 << parent.n
-        seen = set()
-        for child in _augmentations(parent, _max_degree_hoods(parent)):
+        gens = _automorphism_generators(parent)
+        for child in _augmentations(parent, _orbit_firsts(_max_degree_hoods(parent), gens)):
             key = canonical_form(child)
-            if child._last & new_vertex and key not in seen:
-                seen.add(key)
+            if child._last & new_vertex:
                 level.append((key, child))
     level.sort(key=lambda pair: pair[0])
     return [child for _, child in level]
@@ -98,18 +124,28 @@ def generate(n, connected=True):
     "Isomorph-free exhaustive generation", 1998).  A child G is a parent P
     plus vertex m with some neighborhood, and is kept when
     1. m has the maximum degree in G (tested on the masks),
-    2. m is in the orbit of the canonical last vertex of G, the mask
-       `G._last` that `canonical_form` leaves, and
-    3. its canonical form is new among P's children kept so far.
+    2. the neighborhood is the least of its orbit under Aut(P), whose
+       generators `graphs._automorphism_generators` reads off P's own
+       canonical search: one neighborhood per Aut(P)-orbit, and
+    3. m is in the orbit of the canonical last vertex of G, the mask
+       `G._last` that `canonical_form` leaves.
     Every class appears once.  Take any graph of the class and its
     canonical last vertex x, which has maximum degree: the parent
     isomorphic to it minus x has a child isomorphic to it with m in place
-    of x, which passes tests 1 and 2.  A child passing test 2 is its graph
-    minus a vertex of that orbit, and all such deletions are isomorphic, so
-    no other parent passes it.  Two children of P that pass it are
-    isomorphic only by a map fixing m, which an automorphism of P induces,
-    and test 3 keeps the first.  No dictionary spans all the children of a
-    level.
+    of x, which passes test 1.  The least neighborhood in the Aut(P)-orbit
+    of its neighborhood gives a child isomorphic to it by a map fixing m,
+    which passes all three tests.  A child passing test 3 is its graph minus a vertex of
+    that orbit, and all such deletions are isomorphic, so no other parent
+    passes it.  Two children of P that pass it are isomorphic only by a
+    map fixing m, which an automorphism of P induces, so their
+    neighborhoods share an orbit and test 2 keeps one.
+
+    The labelled graphs are those that keeping the first child of each
+    canonical form among P's children that pass tests 1 and 3 would give:
+    by the above, those of one form are the children of one orbit, whose
+    first in increasing order is the orbit's least neighborhood, and the
+    children of one orbit pass or fail test 3 together.  No dictionary
+    spans all the children of a level.
     """
     if not 1 <= n <= GENERATION_CEILING:
         raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")

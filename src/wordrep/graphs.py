@@ -498,7 +498,9 @@ def canonical_form(g):
     automorphism, so every vertex of the orbit ends one.  Twin pruning
     keeps, for every least ordering, its rearrangement that lists each twin
     class in cell order, which ends in the last-listed twin of the same
-    class; the earlier twins put back the rest of the class.
+    class; the earlier twins put back the rest of the class.  The survivors
+    also yield generators of Aut(g): the maps from the first survivor to
+    the others, with the swaps of twins (`_automorphism_generators`).
 
     The key is computed once per Graph object, on the first call, and kept
     on the object; later calls return it.
@@ -515,6 +517,56 @@ def _canonical_key(g):
     n = g.n
     if n == 0:
         return b"\x00", 0
+    cells, earlier_twins, bits, orderings = _least_orderings(g)
+    last = 0
+    for order in orderings:
+        last |= 1 << order[-1] | earlier_twins[order[-1]]
+    total = n * (n - 1) // 2
+    header = bytes([n]) + bytes(len(c) for c in cells)
+    key = header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
+    return key, last
+
+
+def _automorphism_generators(g):
+    """Permutations, as 0-indexed tuples like `automorphisms`, that generate
+    the automorphism group of g, read off the search of `canonical_form`.
+
+    Each least ordering that survives the search lists the vertices of one
+    relabelling of g with the least bitstring, so the map from the first
+    survivor to any other, position by position, is an automorphism.  Any
+    automorphism maps the first survivor to a least ordering, which a
+    permutation within twin classes (itself an automorphism) turns into a
+    survivor.  So the maps to the survivors generate the group together
+    with the transpositions of each vertex and the first of its earlier
+    twins, which generate every permutation within twin classes.
+    """
+    n = g.n
+    _, earlier_twins, _, orderings = _least_orderings(g)
+    first = orderings[0]
+    gens = []
+    for order in orderings[1:]:
+        perm = [0] * n
+        for u, v in zip(first, order):
+            perm[u] = v
+        gens.append(tuple(perm))
+    for v, twins in enumerate(earlier_twins):
+        if twins:
+            u = (twins & -twins).bit_length() - 1
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    return gens
+
+
+def _least_orderings(g):
+    """The search of `canonical_form`.
+
+    Returns the refined cells, the mask of each vertex's twins listed
+    before it in its cell, the least bitstring as an integer, and the
+    orderings (tuples of 0-indexed vertices) that reach it under twin
+    pruning.
+    """
+    n = g.n
     adj = g.adj
     cells = _refine_cells(g)
     earlier_twins = [0] * n  # mask of v's twins listed before v in its cell
@@ -542,13 +594,7 @@ def _canonical_key(g):
                     survivors.append((placed + (v,), unused & ~(1 << v)))
         bits = bits << pos | least
         level = survivors
-    last = 0
-    for placed, _ in level:
-        last |= 1 << placed[-1] | earlier_twins[placed[-1]]
-    total = n * (n - 1) // 2
-    header = bytes([n]) + bytes(len(c) for c in cells)
-    key = header + b"|" + (bits << (-total % 8)).to_bytes((total + 7) // 8, "big")
-    return key, last
+    return cells, earlier_twins, bits, [placed for placed, _ in level]
 
 
 def is_isomorphic(g, h):

@@ -15,6 +15,8 @@ from wordrep.enumeration import (
     minimal_non_representable,
     non_representable_members,
     _augmentations,
+    _max_degree_hoods,
+    _next_level,
 )
 from wordrep.graphs import (
     CeilingExceeded,
@@ -50,6 +52,26 @@ def reference_generate(n, connected=True):
     return Corpus(n, graphs, "generated", connected)
 
 
+# `_next_level` as it was when it canonicalized the child of every
+# max-degree neighbourhood and kept the first child of each key per parent,
+# kept to pin the labelled graphs that augmenting one neighbourhood per
+# automorphism orbit must still produce.
+def reference_next_level(graphs):
+    """The next level by canonical augmentation, in increasing order of
+    canonical form, from the current one in the same order."""
+    level = []
+    for parent in graphs:
+        new_vertex = 1 << parent.n
+        seen = set()
+        for child in _augmentations(parent, _max_degree_hoods(parent)):
+            key = canonical_form(child)
+            if child._last & new_vertex and key not in seen:
+                seen.add(key)
+                level.append((key, child))
+    level.sort(key=lambda pair: pair[0])
+    return [child for _, child in level]
+
+
 def test_generate_counts_small():
     for n in range(1, 9):
         assert len(generate(n, connected=False)) == ALL_COUNTS[n]
@@ -62,6 +84,16 @@ def test_generate_matches_reference():
         for connected in (False, True):
             keys = [canonical_form(g) for g in generate(n, connected)]
             assert keys == [canonical_form(g) for g in reference_generate(n, connected)]
+
+
+def test_next_level_matches_reference_labelled():
+    # the same labelled graphs in the same order, level by level
+    level = [Graph(1)]
+    for n in range(2, 9):
+        new = _next_level(level)
+        assert [g.adj for g in new] == [g.adj for g in reference_next_level(level)]
+        assert len(new) == ALL_COUNTS[n]
+        level = new
 
 
 def test_canonical_last_vertex_has_maximum_degree():
@@ -96,7 +128,7 @@ def test_generated_graphs_end_a_least_ordering():
 
 
 @pytest.mark.skipif(
-    os.environ.get("WORDREP_SLOW") != "1", reason="about 45 s; set WORDREP_SLOW=1"
+    os.environ.get("WORDREP_SLOW") != "1", reason="about 37 s; set WORDREP_SLOW=1"
 )
 def test_generate_counts_n9():
     corpus = generate(9, connected=False)
@@ -114,9 +146,12 @@ def test_generate_matches_brute_force_dedup():
 
 
 def test_generate_no_isomorphic_pair():
+    # nothing but the orbit test and one neighbourhood per orbit keeps
+    # isomorphic children of one parent apart
+    for n in range(1, 9):
+        keys = [canonical_form(g) for g in generate(n, connected=False)]
+        assert len(keys) == len(set(keys)) == ALL_COUNTS[n]
     corpus = generate(5, connected=False)
-    keys = [canonical_form(g) for g in corpus]
-    assert len(keys) == len(set(keys))
     for g, h in itertools.combinations(corpus.graphs[:12], 2):
         assert not brute_force_isomorphic(g, h)
 

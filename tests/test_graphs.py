@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_labeled_graphs, brute_force_isomorphic, relabel
+from conftest import all_labeled_graphs, atlas_graphs, brute_force_isomorphic, relabel
 from wordrep import families, graphs
 from wordrep.enumeration import _augmentations, generate
 from wordrep.graphs import (
@@ -30,6 +30,8 @@ from wordrep.graphs import (
     rooted_product,
     subdivide,
     substitute_module,
+    _automorphism_generators,
+    _bits,
     _from_masks,
     _refine_cells,
 )
@@ -361,8 +363,8 @@ def test_canonical_form_at_ceiling_twins(rng):
 
 
 @st.composite
-def graphs_upto_ceiling(draw):
-    n = draw(st.integers(min_value=0, max_value=CANONICAL_CEILING))
+def graphs_upto(draw, top=CANONICAL_CEILING):
+    n = draw(st.integers(min_value=0, max_value=top))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
@@ -370,7 +372,7 @@ def graphs_upto_ceiling(draw):
 
 @st.composite
 def relabeled_pairs(draw):
-    g = draw(graphs_upto_ceiling())
+    g = draw(graphs_upto())
     return g, relabel(g, tuple(draw(st.permutations(range(g.n)))))
 
 
@@ -382,7 +384,7 @@ def test_canonical_form_invariant_property(pair):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(graphs_upto_ceiling(), st.data())
+@given(graphs_upto(), st.data())
 def test_last_follows_relabeling_property(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     h = relabel(g, tuple(perm))
@@ -443,7 +445,7 @@ def test_refine_cells_matches_sorting_reference_random(rng):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(graphs_upto_ceiling())
+@given(graphs_upto())
 def test_refine_cells_matches_sorting_reference_property(g):
     assert _refine_cells(g) == _sorting_refine_cells(g)
 
@@ -499,6 +501,49 @@ def test_automorphisms():
     assert len(automorphisms(families.cycle(5))) == 10
     assert len(automorphisms(families.wheel(5))) == 10
     assert len(automorphisms(families.petersen())) == 120
+
+
+def generated_group(gens, n):
+    """Every product of the permutations `gens` (0-indexed tuples)."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for s in gens:
+            q = tuple(s[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def test_automorphism_generators_generate_the_group():
+    # generate augments one neighbourhood per orbit of these generators, so
+    # a missing automorphism would keep isomorphic children
+    for g in atlas_graphs():
+        assert generated_group(_automorphism_generators(g), g.n) == set(automorphisms(g))
+    assert len(generated_group(_automorphism_generators(families.petersen()), 10)) == 120
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(graphs_upto(8), st.data())
+def test_automorphism_generators_follow_relabeling_property(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabel(g, tuple(perm))
+    gens = _automorphism_generators(g)
+    for a in gens:
+        assert all(g.adj[a[v]] == sum(1 << a[u] for u in _bits(g.adj[v])) for v in range(g.n))
+    group = generated_group(gens, g.n)
+    conjugated = set()
+    for a in group:
+        c = [0] * g.n
+        for v in range(g.n):
+            c[perm[v]] = perm[a[v]]
+        conjugated.add(tuple(c))
+    relabeled = generated_group(_automorphism_generators(h), h.n)
+    assert relabeled == conjugated
+    assert len(relabeled) == len(group) == len(automorphisms(g))
 
 
 def test_induced_subgraph_and_delete():
