@@ -60,17 +60,19 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+_COMMA_WORD = re.compile(r"\d+(?:\s*,\s*\d+)*")
+_COMPACT_WORD = re.compile(r"(?:\d|\(\d+\))+")
+
+
 def parse_word(text):
-    """Word literal: "1,2,13" or "1213423" or "138(10)7" mixes."""
+    """Word literal: "1,2,13" or "1213423" or "138(10)7" mixes; anything
+    else, such as "1x2x1" or "(10", is a ValueError."""
     text = text.strip()
-    if "," in text:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    out = []
-    for token in re.findall(r"\((\d+)\)|(\d)", text):
-        out.append(int(token[0] or token[1]))
-    if not out:
-        raise ValueError(f"cannot parse word literal {text!r}")
-    return tuple(out)
+    if _COMPACT_WORD.fullmatch(text):
+        return tuple(int(a or b) for a, b in re.findall(r"\((\d+)\)|(\d)", text))
+    if _COMMA_WORD.fullmatch(text):
+        return tuple(int(p) for p in text.split(","))
+    raise ValueError(f"cannot parse word literal {text!r}")
 
 
 def format_word(w):

@@ -87,6 +87,8 @@ def crown_apex(n):
 
 def wheel(n):
     """Cycle of length n plus a hub n+1."""
+    if n < 3:
+        raise ValueError("wheel needs n >= 3")
     return add_apex(cycle(n))
 
 

@@ -5,7 +5,11 @@ it is acyclic and, for every arc u->v, the sub-orientation induced by u, v and
 all vertices lying on directed u->v paths is transitive; a graph is
 word-representable exactly when it admits such an orientation, so the
 backtracking search here doubles as the representability decision procedure.
-Its forced-arc propagation works on adjacency bitmasks.
+Its forced-arc propagation works on adjacency bitmasks.  It orients its first
+edge one way only: reversing every arc of a semi-transitive orientation gives
+another one (it stays acyclic, and a reversed shortcut is a shortcut), so some
+witness takes that direction.  The unrestricted search tried that direction
+first too, so witnesses are unchanged; only refutations shrink.
 
 Transitive orientations (comparability) and 3-colorings give two cheaper
 certificate routes.  Transitive orientations come from Golumbic's TRO
@@ -204,6 +208,11 @@ class _OrientSearch:
     u and v, unless both u,v and w,x are adjacent, the only completion that
     avoids cycles and shortcuts is u->w, w->v.  Propagation is conservative;
     each complete assignment is still verified by the full shortcut check.
+
+    The root edge a-b (depth 0) is branched as a->b only.  The reverse of a
+    semi-transitive orientation is semi-transitive, so if one exists, one
+    holds a->b, and since propagation only adds arcs that every completion
+    must hold, the a->b subtree contains it.
     """
 
     def __init__(self, g, budget):
@@ -295,7 +304,7 @@ class _OrientSearch:
             if self.oriented(a, b):
                 depth += 1
                 continue
-            for first, second in ((a, b), (b, a)):
+            for first, second in ((a, b),) if depth == 0 else ((a, b), (b, a)):
                 trail = []
                 if self._propagate(first, second, trail):
                     result = self._extend(depth + 1)
@@ -314,8 +323,10 @@ class _OrientSearch:
 def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     """Search for a semi-transitive orientation of g.
 
-    Returns a witness Orientation or an exhaustive refutation; a refutation
-    outcome means the full branch tree was explored.  A caller that runs
+    Returns a witness Orientation or an exhaustive refutation.  A refutation
+    is exhaustive over the orientations with the root edge one way; reversing
+    every arc covers the rest, since the reverse of a semi-transitive
+    orientation is semi-transitive.  A caller that runs
     several searches under one limit passes its `_Budget` as `budget`, which
     then replaces `max_nodes` and `max_seconds`.
     """

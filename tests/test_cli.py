@@ -28,8 +28,23 @@ def test_parse_word():
     assert parse_word("1213423") == (1, 2, 1, 3, 4, 2, 3)
     assert parse_word("138(10)7") == (1, 3, 8, 10, 7)
     assert parse_word("(10)(11)") == (10, 11)
-    with pytest.raises(ValueError):
-        parse_word("")
+    for text in ("", "1x2x1", "12-21", "(10", "1,,2", "1,2,", "(1)0)"):
+        with pytest.raises(ValueError, match="cannot parse word literal"):
+            parse_word(text)
+
+
+def test_malformed_word_literals_exit_2(capsys):
+    # each was once read as another word: 1,2,1 / 1,2,2,1 / 1,0
+    for text in ("1x2x1", "12-21", "(10"):
+        assert main(["word-graph", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == f"cannot parse word literal {text!r}"
+
+
+def test_small_wheel_exits_2_naming_the_wheel(capsys):
+    assert main(["decide", "family:wheel:2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "wheel needs n >= 3"
 
 
 def test_parse_graph_specs(tmp_path):

@@ -290,7 +290,7 @@ def test_checkpoint_torn_last_line(tmp_path):
 
 
 def test_census_budget_abort():
-    # co-T2 passes the filter and its search needs 29 nodes; W6 is a
+    # co-T2 passes the filter and its search needs 15 nodes; W6 is a
     # comparability graph, settled with no search
     corpus = Corpus(7, [families.co_t2(), families.wheel(6)])
     with pytest.raises(BudgetExhausted):

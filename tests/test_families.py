@@ -19,6 +19,13 @@ def test_make_dispatch():
         families.make("cycle", 2)
 
 
+def test_small_wheel_error_names_the_wheel():
+    for n in (2, 0, -1):
+        with pytest.raises(ValueError, match=r"^wheel needs n >= 3$"):
+            families.wheel(n)
+    assert families.wheel(3) == families.complete(4)
+
+
 def test_family_identities():
     assert is_isomorphic(families.crown(3), families.cycle(6))
     assert is_isomorphic(families.prism(4), families.crown(4))

@@ -602,6 +602,9 @@ def reference_trans_search(g):
 
 
 class _ReferenceOrientSearch(_OrientSearch):
+    # inherits `_extend`, root-edge pruning included, so it checks the
+    # propagation only and is no unpruned oracle (`_UnprunedOrientSearch` is)
+
     def _reaches(self, src, dst):
         seen = 1 << src
         frontier = seen
@@ -733,3 +736,80 @@ def test_semi_transitive_search_matches_reference_propagation():
         assert (out.witness.succ if out.found else None) == (
             tuple(succ) if succ is not None else None
         ), g
+
+
+class _UnprunedOrientSearch(_OrientSearch):
+    """The search branching both ways on every edge, the root edge too."""
+
+    def _extend(self, depth):
+        self.budget.tick()
+        while depth < len(self.edges):
+            a, b = self.edges[depth]
+            if self.oriented(a, b):
+                depth += 1
+                continue
+            for first, second in ((a, b), (b, a)):
+                trail = []
+                if self._propagate(first, second, trail):
+                    result = self._extend(depth + 1)
+                    if result is not None:
+                        return result
+                for x, y in reversed(trail):
+                    self.succ[x] &= ~(1 << y)
+                    self.pred[y] &= ~(1 << x)
+            return None
+        order = orientation.topological_order(Orientation._from_succ(self.g, self.succ))
+        if order is not None and orientation._shortcut_free(self.succ, order):
+            return list(self.succ)
+        return None
+
+
+def test_root_edge_pruning_matches_the_unpruned_search():
+    graphs = [g for n in range(1, 7) for g in generate_all(n)]
+    graphs += atlas_graphs() + _random_connected(300, seed=13)
+    refuted = 0
+    for g in graphs:
+        if not g.m:
+            continue
+        out = find_semi_transitive(g)
+        budget = _Budget()
+        succ = _UnprunedOrientSearch(g, budget).search()
+        assert (out.witness.succ if out.found else None) == (
+            tuple(succ) if succ is not None else None
+        ), g
+        if out.found:
+            assert out.nodes_expanded == budget.nodes, g
+        else:
+            # the root's two subtrees are mirror images, so a refutation
+            # keeps the root and one of them
+            assert out.nodes_expanded < budget.nodes == 2 * out.nodes_expanded - 1, g
+            refuted += 1
+    assert refuted > 0
+    for g in (families.wheel(5), families.wheel(7), families.co_t2()):
+        assert find_semi_transitive(g).refuted, g
+
+
+def _reverse(o):
+    """The orientation with every arc of o turned round."""
+    pred = [0] * o.graph.n
+    for u, s in enumerate(o.succ):
+        for v in _bits(s):
+            pred[v] |= 1 << u
+    return Orientation._from_succ(o.graph, pred)
+
+
+def test_reversal_preserves_semi_transitivity():
+    from conftest import all_labeled_graphs
+
+    for n in range(2, 6):
+        for g in all_labeled_graphs(n):
+            edges = g.edges()
+            for mask in range(1 << len(edges)):
+                o = Orientation(
+                    g, [(u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)]
+                )
+                assert _oracle_semi_transitive(_reverse(o)) == _oracle_semi_transitive(o), o
+    for g in atlas_graphs():
+        out = find_semi_transitive(g)
+        if out.found:
+            assert is_semi_transitive(_reverse(out.witness)), g
