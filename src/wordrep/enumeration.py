@@ -32,6 +32,12 @@ from .outcome import BudgetExhausted, _Budget, _check_limits
 
 GENERATION_CEILING = 9
 FINAL_VERDICTS = ("representable", "non_representable")
+# Tasks per pool chunk.  Each chunk is a round trip through the parent, whose
+# CPU a worker needs on a 2-core machine: census(generate(8), jobs=2) took
+# 1.61 s at 8 (0.69 s of it parent CPU), 1.28 s at 32, 0.99 s at 128, 0.94 s
+# at 256, 0.98 s at 512 (0.08 s parent CPU), 1.03 s at 1,024 and 1.01 s at
+# len(todo) // (4 * jobs) = 1,389, where the tail leaves one worker idle.
+_CHUNK = 512
 
 
 @dataclass
@@ -193,10 +199,10 @@ def _load_checkpoint(path):
     """Verdicts from the well-formed lines of a checkpoint file, and whether
     its last line lacks a newline.
 
-    A line is well formed when it has three tab-separated fields: a key, a
-    final verdict and an integer node count.  Any other line, such as one
-    cut short by a crash or a "budget" line, is ignored, so its graph is
-    decided again.
+    A line is well formed when it ends in a newline and has three
+    tab-separated fields: a key, a final verdict and an integer node count.
+    Any other line, such as one cut short by a crash (even inside its node
+    count) or a "budget" line, is ignored, so its graph is decided again.
     """
     verdicts = {}
     torn = False
@@ -204,7 +210,9 @@ def _load_checkpoint(path):
         with open(path) as fh:
             for line in fh:
                 torn = not line.endswith("\n")
-                parts = line.rstrip("\n").split("\t")
+                if torn:
+                    break  # only the last line can lack its newline
+                parts = line[:-1].split("\t")
                 if len(parts) == 3 and parts[1] in FINAL_VERDICTS and parts[2].isdecimal():
                     verdicts[parts[0]] = parts[1]
     return verdicts, torn
@@ -221,8 +229,10 @@ def census(
     """Map every corpus member to a representability verdict.
 
     Returns {canonical hex: verdict}; order of evaluation never affects the
-    result.  With `checkpoint`, verdicts are appended to the file as they
-    arrive and already-decided graphs are skipped on resume.  Raises
+    result.  With `jobs` > 1 the verdicts arrive from the worker pool a
+    chunk of up to 512 graphs at a time.  With `checkpoint`,
+    verdicts are appended to the file as they arrive, one flushed line each,
+    and already-decided graphs are skipped on resume.  Raises
     BudgetExhausted if any member's search was cut short, since a census
     with budget holes cannot certify counts.
     """
@@ -251,7 +261,7 @@ def _census(
             sink.write("\n")  # never glue a new line onto a cut-off one
         if jobs > 1 and len(todo) > 1:
             pool = stack.enter_context(multiprocessing.Pool(jobs))
-            results = pool.imap_unordered(decide_graph, todo, chunksize=8)
+            results = pool.imap_unordered(decide_graph, todo, chunksize=_CHUNK)
         else:
             results = map(decide_graph, todo)
         for i, (key, verdict, nodes) in enumerate(results):

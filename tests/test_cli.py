@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return json.loads(out) if out.strip() else None, code
+
+
+@pytest.mark.parametrize(
+    "graph, verdict, code", [("family:wheel:5", False, 1), ("family:wheel:4", True, 0)]
+)
+def test_python_m_wordrep(graph, verdict, code):
+    # an uninstalled checkout runs the CLI as `python -m wordrep`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordrep", "decide", graph],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout) == {"command": "decide", "verdict": verdict}
 
 
 def test_parse_word():

@@ -236,6 +236,22 @@ def test_census_parallel_matches_serial():
     assert census(corpus, jobs=2) == census(corpus, jobs=1)
 
 
+def test_census_parallel_over_several_chunks(tmp_path):
+    # n = 7 has more graphs than one pool chunk holds
+    corpus = generate(7)
+    assert len(corpus) == 853 > enumeration._CHUNK
+    ckpt = tmp_path / "n7.ckpt"
+    calls = []
+    verdicts = census(
+        corpus, jobs=2, checkpoint=str(ckpt), progress=lambda i, t: calls.append((i, t))
+    )
+    assert verdicts == census(corpus, jobs=1)
+    keys = [line.split("\t")[0] for line in ckpt.read_text().splitlines()]
+    assert len(keys) == 853
+    assert set(keys) == set(verdicts)
+    assert calls == [(i, 853) for i in range(1, 854)]
+
+
 def test_census_order_insensitive(rng):
     corpus = generate(5)
     shuffled = Corpus(5, list(corpus.graphs), "generated", True)
@@ -287,6 +303,11 @@ def test_checkpoint_torn_last_line(tmp_path):
         ckpt.write_text("\n".join(rest + [bad]) + "\n")
         assert count_non_representable(corpus, checkpoint=str(ckpt)) == 1
         assert ckpt.read_text().splitlines() == rest + [bad, nonrep[0]]
+    # a line cut inside a two-digit node count still parses, but is not believed
+    cut = f"{key}\tnon_representable\t1"  # from "...\t12"
+    ckpt.write_text("\n".join(rest) + "\n" + cut)
+    assert count_non_representable(corpus, checkpoint=str(ckpt)) == 1
+    assert ckpt.read_text().splitlines() == rest + [cut, nonrep[0]]
 
 
 def test_census_budget_abort():
