@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-CANONICAL_CEILING = 10
+CANONICAL_CEILING = 12
 
 
 class CeilingExceeded(ValueError):
@@ -498,9 +498,11 @@ def canonical_form(g):
     automorphism, so every vertex of the orbit ends one.  Twin pruning
     keeps, for every least ordering, its rearrangement that lists each twin
     class in cell order, which ends in the last-listed twin of the same
-    class; the earlier twins put back the rest of the class.  The survivors
-    also yield generators of Aut(g): the maps from the first survivor to
-    the others, with the swaps of twins (`_automorphism_generators`).
+    class; the earlier twins put back the rest of the class.  So every
+    automorphism is, in exactly one way, the map from the first survivor to
+    a survivor with that survivor's twin classes rearranged among their
+    positions.  `automorphisms` lists Aut(g) that way, and
+    `_automorphism_generators` reads generators of it off the survivors.
 
     The key is computed once per Graph object, on the first call, and kept
     on the object; later calls return it.
@@ -529,16 +531,10 @@ def _canonical_key(g):
 
 def _automorphism_generators(g):
     """Permutations, as 0-indexed tuples like `automorphisms`, that generate
-    the automorphism group of g, read off the search of `canonical_form`.
-
-    Each least ordering that survives the search lists the vertices of one
-    relabelling of g with the least bitstring, so the map from the first
-    survivor to any other, position by position, is an automorphism.  Any
-    automorphism maps the first survivor to a least ordering, which a
-    permutation within twin classes (itself an automorphism) turns into a
-    survivor.  So the maps to the survivors generate the group together
-    with the transpositions of each vertex and the first of its earlier
-    twins, which generate every permutation within twin classes.
+    the automorphism group of g, read off the search of `canonical_form`:
+    the maps from the first survivor to the others, and the transpositions
+    of each vertex and the first of its earlier twins, which generate every
+    permutation within twin classes.
     """
     n = g.n
     _, earlier_twins, _, orderings = _least_orderings(g)
@@ -604,42 +600,37 @@ def is_isomorphic(g, h):
 
 
 def automorphisms(g, limit=None):
-    """All adjacency-preserving permutations as 0-indexed tuples.
-
-    With `limit`, stops after that many are found (the identity always
-    included); any subset is still sound for symmetry pruning.
+    """All adjacency-preserving permutations as 0-indexed tuples, the
+    identity first, read off the search of `canonical_form` (see there).
+    With `limit` (at least 1), stops after that many; any subset is still
+    sound for symmetry pruning.
     """
-    cells = _refine_cells(g)
-    cell_of = {}
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = ci
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
+    if g.n > CANONICAL_CEILING:
+        raise CeilingExceeded(f"automorphisms support n <= {CANONICAL_CEILING}")
     n = g.n
+    _, earlier_twins, _, orderings = _least_orderings(g)
+    mates = [1 << v | twins for v, twins in enumerate(earlier_twins)]  # v's twin class
+    for v, twins in enumerate(earlier_twins):
+        for u in _bits(twins):
+            mates[u] |= 1 << v
+    first = orderings[0]
     perm = [0] * n
-    used = [False] * n
     out = []
 
-    def place(v):
-        if limit is not None and len(out) >= limit:
-            return
-        if v == n:
+    def place(order, i, unused):
+        """Map first[i:] onto twins of order[i:]; True once `limit` is reached."""
+        if i == n:
             out.append(tuple(perm))
-            return
-        for w in range(n):
-            if used[w] or cell_of[w] != cell_of[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if bool(g.adj[v] >> u & 1) != bool(g.adj[w] >> perm[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                perm[v] = w
-                used[w] = True
-                place(v + 1)
-                used[w] = False
-                if limit is not None and len(out) >= limit:
-                    return
+            return len(out) == limit
+        for v in _bits(mates[order[i]] & unused):
+            perm[first[i]] = v
+            if place(order, i + 1, unused & ~(1 << v)):
+                return True
+        return False
 
-    place(0)
+    for order in orderings:
+        if place(order, 0, (1 << n) - 1):
+            break
     return out

@@ -14,7 +14,8 @@ The uniform search breaks two symmetries.  It keeps the word's
 first-occurrence sequence lexicographically minimal within the graph's
 automorphism group, which is sound because relabeling by an automorphism
 maps representants to representants of the same labeled graph (and pruning
-against any subset of the group stays sound, so huge groups are capped).
+against any subset of the group stays sound, so huge groups are capped,
+and graphs above the 12 vertices of `automorphisms` get no such pruning).
 And it starts every word with letter 1: a cyclic shift of a uniform
 representant represents the same graph (Kitaev & Pyatkin), so some witness
 starts with 1, and the lex-min image of that witness still starts with 1,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import CeilingExceeded, automorphisms, max_clique_size, _bits
+from .graphs import CANONICAL_CEILING, CeilingExceeded, automorphisms, max_clique_size, _bits
 from .orientation import ORIENTATION_CEILING, _comparability, _decide
 from .outcome import (
     REFUTED,
@@ -202,7 +203,7 @@ def find_k_uniform_word(
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
     if auts is None:
-        auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
+        auts = automorphisms(g, limit=AUTOMORPHISM_CAP) if g.n <= CANONICAL_CEILING else ()
     searcher = _UniformSearch(g, k, budget, auts)
     return run_search(searcher.search, budget, lambda w: word_to_graph(w) == g)
 
@@ -360,6 +361,8 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
 def count_pattern_avoiding_representants(g, t, max_len):
     """Exact number of t-avoiding words of length <= max_len representing the
     labeled graph g."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
     if g.n**max_len > 10**8:
         raise CeilingExceeded("alphabet**length too large for exhaustive count")

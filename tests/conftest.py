@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own clever paths: graph
 isomorphism is brute force over label permutations, words are checked by the
 raw alternation definition, and networkx supplies externally generated
-corpora.  Tests compare the library against these, never against itself.
+corpora and automorphism groups.  Tests compare the library against these,
+never against itself.
 """
 
 import itertools
@@ -66,6 +67,18 @@ def atlas_graphs():
     return out
 
 
+def networkx_automorphisms(g):
+    """Reference automorphism group: networkx's VF2 matcher of g onto
+    itself, as a set of 0-indexed tuples like `automorphisms` returns."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u - 1, v - 1) for u, v in g.edges())
+    return {tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()}
+
+
 def words_over(alphabet_size, max_len):
     """All words over exactly {1..alphabet_size} (every letter present)."""
     letters = range(1, alphabet_size + 1)
@@ -88,6 +101,12 @@ def connected_upto_6():
 @pytest.fixture(scope="session")
 def all_graphs_upto_5():
     return {n: generate(n, connected=False) for n in range(1, 6)}
+
+
+@pytest.fixture(scope="session")
+def atlas_groups():
+    """Each atlas graph with its automorphism group from networkx."""
+    return [(g, networkx_automorphisms(g)) for g in atlas_graphs()]
 
 
 @pytest.fixture(scope="session")

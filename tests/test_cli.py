@@ -257,6 +257,14 @@ def test_pattern_count(capsys):
     assert code == 0 and payload["count"] == 27
 
 
+def test_pattern_count_negative_length_exits_2(capsys):
+    argv = ["pattern-count", "family:empty:2", "--pattern", "132", "--max-len", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "max_len must be non-negative"
+
+
 def test_budget_exit_code(capsys):
     payload, code = run(capsys, "orient", "family:wheel:7", "--max-nodes", "3")
     assert code == 3

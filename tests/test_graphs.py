@@ -4,7 +4,13 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_labeled_graphs, atlas_graphs, brute_force_isomorphic, relabel
+from conftest import (
+    all_labeled_graphs,
+    atlas_graphs,
+    brute_force_isomorphic,
+    networkx_automorphisms,
+    relabel,
+)
 from wordrep import families, graphs
 from wordrep.enumeration import _augmentations, generate
 from wordrep.graphs import (
@@ -356,8 +362,9 @@ def test_canonical_form_matches_reference_on_twin_heavy_graphs(rng):
 
 
 def test_canonical_form_at_ceiling_twins(rng):
-    for g in (families.complete(10), families.empty(10)):
-        perm = list(range(10))
+    n = CANONICAL_CEILING
+    for g in (families.complete(n), families.empty(n)):
+        perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_form(g) == canonical_form(relabel(g, tuple(perm)))
 
@@ -393,10 +400,14 @@ def test_last_follows_relabeling_property(g, data):
 
 
 def test_canonical_ceiling():
-    g = families.empty(11)
+    g = families.empty(13)
     for _ in range(2):  # no key is stored, so every call raises
         with pytest.raises(CeilingExceeded):
             canonical_form(g)
+    with pytest.raises(CeilingExceeded):
+        automorphisms(g, 1)
+    with pytest.raises(CeilingExceeded):
+        is_isomorphic(g, families.empty(13))
 
 
 # `_refine_cells` as it was when it sorted a tuple of neighbour colours for
@@ -496,11 +507,63 @@ def test_equality_and_hash_ignore_the_key():
     assert len({g, h}) == 1
 
 
-def test_automorphisms():
+def _icosahedron():
+    import networkx as nx
+
+    return Graph(12, [(u + 1, v + 1) for u, v in nx.icosahedral_graph().edges()])
+
+
+def test_automorphisms(atlas_groups):
     assert len(automorphisms(families.complete(4))) == 24
     assert len(automorphisms(families.cycle(5))) == 10
     assert len(automorphisms(families.wheel(5))) == 10
     assert len(automorphisms(families.petersen())) == 120
+    c6 = families.cycle(6)
+    more = [
+        families.petersen(),
+        _icosahedron(),
+        cartesian_product(families.complete(4), families.complete(3)),
+        disjoint_union(c6, c6),
+        families.cycle(11),
+        families.cycle(12),
+        families.crown(6),
+    ]
+    for g, group in atlas_groups + [(g, networkx_automorphisms(g)) for g in more]:
+        auts = automorphisms(g)
+        assert auts[0] == tuple(range(g.n))
+        assert len(auts) == len(group) and set(auts) == group, g
+
+
+def _is_automorphism(g, a):
+    return sorted(a) == list(range(g.n)) and all(
+        g.adj[a[v]] == sum(1 << a[u] for u in _bits(g.adj[v])) for v in range(g.n)
+    )
+
+
+def test_automorphisms_limit():
+    for limit in (0, -3):
+        with pytest.raises(ValueError):
+            automorphisms(families.cycle(5), limit)
+    assert automorphisms(families.cycle(5), 1) == [(0, 1, 2, 3, 4)]
+    assert automorphisms(Graph(0), 1) == [()]
+
+
+def test_automorphisms_capped_at_twelve_vertices():
+    # each group has far more than 2048 members; the uniform search takes
+    # the first 2048
+    k3, k33, c4 = families.complete(3), _complete_multipartite(3, 3), families.cycle(4)
+    for g in [
+        families.complete(12),
+        families.empty(12),
+        _complete_multipartite(6, 6),
+        disjoint_union(c4, disjoint_union(c4, c4)),
+        disjoint_union(k33, k33),
+        disjoint_union(k3, disjoint_union(k3, disjoint_union(k3, k3))),
+    ]:
+        auts = automorphisms(g, 2048)
+        assert len(set(auts)) == len(auts) == 2048
+        assert auts[0] == tuple(range(12))
+        assert all(_is_automorphism(g, a) for a in auts)
 
 
 def generated_group(gens, n):
@@ -518,11 +581,11 @@ def generated_group(gens, n):
     return group
 
 
-def test_automorphism_generators_generate_the_group():
+def test_automorphism_generators_generate_the_group(atlas_groups):
     # generate augments one neighbourhood per orbit of these generators, so
     # a missing automorphism would keep isomorphic children
-    for g in atlas_graphs():
-        assert generated_group(_automorphism_generators(g), g.n) == set(automorphisms(g))
+    for g, group in atlas_groups:
+        assert generated_group(_automorphism_generators(g), g.n) == group
     assert len(generated_group(_automorphism_generators(families.petersen()), 10)) == 120
 
 
@@ -532,8 +595,7 @@ def test_automorphism_generators_follow_relabeling_property(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     h = relabel(g, tuple(perm))
     gens = _automorphism_generators(g)
-    for a in gens:
-        assert all(g.adj[a[v]] == sum(1 << a[u] for u in _bits(g.adj[v])) for v in range(g.n))
+    assert all(_is_automorphism(g, a) for a in gens)
     group = generated_group(gens, g.n)
     conjugated = set()
     for a in group:
@@ -543,7 +605,7 @@ def test_automorphism_generators_follow_relabeling_property(g, data):
         conjugated.add(tuple(c))
     relabeled = generated_group(_automorphism_generators(h), h.n)
     assert relabeled == conjugated
-    assert len(relabeled) == len(group) == len(automorphisms(g))
+    assert group == networkx_automorphisms(g)
 
 
 def test_induced_subgraph_and_delete():

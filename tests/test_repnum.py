@@ -64,6 +64,13 @@ def test_uniform_search_ceiling():
         find_k_uniform_word(families.complete(2), 0)
 
 
+def test_uniform_search_past_the_automorphism_ceiling():
+    # above 12 vertices the search prunes by no automorphism
+    out = find_k_uniform_word(families.complete(13), 1)
+    assert out.found and out.witness == tuple(range(1, 14))
+    assert find_k_uniform_word(families.cycle(13), 1).refuted
+
+
 def test_uniform_search_budget():
     out = find_k_uniform_word(families.wheel(5), 5, max_nodes=50)
     assert out.status == "budget_exhausted"
@@ -177,6 +184,14 @@ def test_count_fixtures():
 def test_count_ceiling():
     with pytest.raises(CeilingExceeded):
         count_pattern_avoiding_representants(families.complete(9), (1, 3, 2), 12)
+
+
+def test_count_rejects_negative_length():
+    # once a recursion without end, or the counts 11 and 12
+    for g in (families.empty(2), families.path(3), families.complete(3)):
+        with pytest.raises(ValueError):
+            count_pattern_avoiding_representants(g, (1, 3, 2), -1)
+    assert count_pattern_avoiding_representants(families.complete(3), (1, 3, 2), 0) == 0
 
 
 def test_count_catalan_formula():
