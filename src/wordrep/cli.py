@@ -414,13 +414,16 @@ def main(argv=None):
     try:
         payload, code = args.func(args)
     except BudgetExhausted as exc:
-        print(json.dumps({"verdict": None, "error": str(exc)}, indent=2))
-        return EXIT_BUDGET
+        payload, code = {"verdict": None, "error": str(exc)}, EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    payload = {"command": args.command, **payload}
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps({"command": args.command, **payload}, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; point stdout at
+        # devnull so that the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -56,13 +56,12 @@ class Corpus:
         return iter(self.graphs)
 
 
-def _augmentations(parent, hoods=None):
+def _augmentations(parent, hoods):
     """The graphs made by adding vertex n+1 to `parent` with each
-    neighborhood in `hoods` (masks over the parent's vertices; every subset,
-    in increasing order, by default)."""
+    neighborhood in `hoods` (masks over the parent's vertices)."""
     n = parent.n
     out = []
-    for hood in range(1 << n) if hoods is None else hoods:
+    for hood in hoods:
         masks = [parent.adj[v] | ((hood >> v & 1) << n) for v in range(n)]
         masks.append(hood)
         out.append(_from_masks(n + 1, masks))

@@ -8,8 +8,12 @@ any word avoiding a length-3 pattern uses a degree>=2 letter at most twice
 and a letter adjacent to such a vertex at most three times, and for 132 a
 representable graph always has a witness with every letter at most twice.
 
-All searches are deterministic: letters are tried in increasing order, and
-all of them grow the word one letter at a time over the same `_PairState`.
+All searches are one walk, `_PairState.walk`, which grows the word one
+letter at a time, in increasing order, so every search is deterministic.
+Each search says only when it is done and which letters it bars at a node,
+as a mask: the pattern searches bar the letters that would complete an
+occurrence of the pattern, and the uniform search bars by symmetry.
+
 The uniform search breaks two symmetries.  It keeps the word's
 first-occurrence sequence lexicographically minimal within the graph's
 automorphism group, which is sound because relabeling by an automorphism
@@ -70,28 +74,6 @@ class _PairState:
         self.placed = 0
         self.word = []  # 1-indexed letters, so pattern checks read naturally
 
-    def moves(self):
-        """The letters that may come next, in increasing order.
-
-        A move x has a copy left, would not repeat in the projection of an
-        edge at x, and leaves every alternating non-edge at x breakable:
-        once x's last copy is placed, only two more copies of the other
-        letter can break it.  A uniform word needs no test that x's
-        neighbours keep copies to follow x: when all k copies of a neighbour
-        y are placed and x can still follow, the projection onto {x, y}
-        alternates and ends in y, so it holds k - 1 copies of x and x has
-        one copy left.
-        """
-        adj, nonadj, before, broken = self.adj, self.nonadj, self.before, self.broken
-        out = []
-        for x, r in enumerate(self.rem):
-            if not r or adj[x] & before[x]:
-                continue
-            if r == 1 and nonadj[x] & self.low & ~(broken[x] | before[x]):
-                continue
-            out.append(x)
-        return out
-
     def place(self, x):
         bit = 1 << x
         before, broken = self.before, self.broken
@@ -124,57 +106,74 @@ class _PairState:
         """Every letter is placed and every non-edge has stopped alternating."""
         return self.placed == self.full and not self.unbroken
 
+    def walk(self, budget, bar, done):
+        """Depth-first search from the current word for one on which `done()`
+        holds: True leaves that word in place, False the word as it was.
 
-class _UniformSearch:
-    """Position-by-position search for a k-uniform representant.
+        Each call ticks `budget` once and then tries, in increasing order,
+        each move outside the mask `bar(word)`.  A search may bar only
+        letters whose subtrees hold no word it wants.
 
-    Invariants kept after every placement: every adjacent pair's projection
-    still strictly alternates, and every non-adjacent pair can still end up
-    non-alternating with the remaining copies.  Reaching full length thus
-    guarantees a representant.
-    """
+        A move x has a copy left, would not repeat in the projection of an
+        edge at x, and leaves every alternating non-edge at x breakable:
+        once x's last copy is placed, only two more copies of the other
+        letter can break it.  So after every placement every adjacent
+        pair's projection still strictly alternates, and every non-adjacent
+        pair can still end up non-alternating with the remaining copies: a
+        uniform word that reaches full length is a representant.  A uniform
+        word needs no test that x's neighbours keep copies to follow x:
+        when all k copies of a neighbour y are placed and x can still
+        follow, the projection onto {x, y} alternates and ends in y, so it
+        holds k - 1 copies of x and x has one copy left.  A search that may
+        stop short of its caps never needs it: a letter can simply get no
+        more copies.
+        """
+        budget.tick()
+        if done():
+            return True
+        barred = bar(self.word)
+        adj, nonadj, before, broken, low = self.adj, self.nonadj, self.before, self.broken, self.low
+        for x, r in enumerate(self.rem):  # each child puts rem back as it found it
+            if not r or adj[x] & before[x] or barred >> x & 1:
+                continue
+            if r == 1 and nonadj[x] & low & ~(broken[x] | before[x]):
+                continue
+            undo = self.place(x)
+            if self.walk(budget, bar, done):
+                return True
+            self.unplace(x, undo)
+        return False
 
-    def __init__(self, g, k, budget, auts):
-        self.k = k
-        self.length = g.n * k
-        self.budget = budget
-        self.state = _PairState(g, [k] * g.n)
-        self.auts = [a for a in auts if any(a[i] != i for i in range(g.n))]
-        self.active = list(range(len(self.auts)))  # fix word prefix pointwise
 
-    def search(self):
-        self.budget.tick()
-        state = self.state
-        if len(state.word) == self.length:
-            return tuple(state.word)
-        moves = state.moves()
-        if not state.word:  # only letter 1 may start it (see the module docstring)
-            moves = [x for x in moves if x == 0]
-        for x in moves:
-            new_letter = state.rem[x] == self.k
-            saved_active = None
-            if new_letter:
-                ok = True
-                survivors = []
-                for ai in self.active:
-                    image = self.auts[ai][x]
-                    if image < x:
-                        ok = False
-                        break
-                    if image == x:
-                        survivors.append(ai)
-                if not ok:
-                    continue
-                saved_active = self.active
-                self.active = survivors
-            undo = state.place(x)
-            result = self.search()
-            if result is not None:
-                return result
-            state.unplace(x, undo)
-            if new_letter:
-                self.active = saved_active
-        return None
+def _symmetry_bar(state, auts):
+    """The uniform search's barred mask, kept per set of placed letters:
+    only letter 1 may start the word, and each automorphism that fixes every
+    placed letter bars the letters it maps lower.  The placed letters of a
+    uniform word are its first-occurrence prefix, so that prefix stays least
+    in its orbit (see the module docstring)."""
+    rules = []  # the letters each automorphism fixes, and those it maps lower
+    for a in auts:
+        fixed = lowered = 0
+        for x, y in enumerate(a):
+            if y == x:
+                fixed |= 1 << x
+            elif y < x:
+                lowered |= 1 << x
+        rules.append((fixed, lowered))
+    memo = {0: ~1}
+
+    def bar(word):
+        placed = state.placed
+        barred = memo.get(placed)
+        if barred is None:
+            barred = 0
+            for fixed, lowered in rules:
+                if not placed & ~fixed:
+                    barred |= lowered
+            memo[placed] = barred
+        return barred
+
+    return bar
 
 
 def find_k_uniform_word(
@@ -204,8 +203,15 @@ def find_k_uniform_word(
         budget = _Budget(max_nodes, max_seconds)
     if auts is None:
         auts = automorphisms(g, limit=AUTOMORPHISM_CAP) if g.n <= CANONICAL_CEILING else ()
-    searcher = _UniformSearch(g, k, budget, auts)
-    return run_search(searcher.search, budget, lambda w: word_to_graph(w) == g)
+    state = _PairState(g, [k] * g.n)
+    bar = _symmetry_bar(state, auts)
+    length = g.n * k
+
+    def kernel():
+        found = state.walk(budget, bar, lambda: len(state.word) == length)
+        return tuple(state.word) if found else None
+
+    return run_search(kernel, budget, lambda w: word_to_graph(w) == g)
 
 
 def representation_number(g, max_nodes=None, max_seconds=None):
@@ -239,30 +245,36 @@ def _representation(g, budget):
 # -- pattern-avoiding search ---------------------------------------------------
 
 
-def _ends_with_occurrence(word, z, t):
-    """Would appending letter z to word create an occurrence of pattern t?
+def _occurrence_mask(word, t, n):
+    """The letters z of 1..n, as bit z - 1, whose appending to word creates
+    an occurrence of pattern t.
 
     The word must avoid t, as every word the searches extend does, so any
     occurrence in the extended word ends at z.
     """
     # specialize the two patterns with completeness guarantees
     if t == (1, 3, 2):
-        lo = None
+        # z lies strictly between the prefix minimum and a later, larger letter
+        mask = 0
+        lo = word[0] if word else 0
         for c in word:
-            if lo is not None and lo < z and c > z:
-                return True
-            if lo is None or c < lo:
+            if lo < c:
+                mask |= (1 << c - 1) - (1 << lo)
+            else:
                 lo = c
-        return False
+        return mask
     if t == (1, 2, 3):
-        lo = None
+        # z lies above the least letter that has a smaller letter before it
+        least = n
+        lo = word[0] if word else 0
         for c in word:
-            if lo is not None and lo < c < z:
-                return True
-            if lo is None or c < lo:
+            if lo < c:
+                if c < least:
+                    least = c
+            else:
                 lo = c
-        return False
-    return contains_pattern((*word, z), t)
+        return (1 << n) - (1 << least)
+    return sum(1 << z - 1 for z in range(1, n + 1) if contains_pattern((*word, z), t))
 
 
 def multiplicity_caps(g, t):
@@ -295,63 +307,41 @@ def multiplicity_caps(g, t):
     return caps, all(covered.values())
 
 
-class _PatternSearch:
-    """Search for a t-avoiding representant within per-letter copy caps.
-
-    No automorphism symmetry breaking here: relabeling letters preserves the
-    represented graph but not pattern avoidance (labeling matters), so every
-    labeled word within the caps must be considered.  Every non-edge is
-    checked once on the empty word; after that a placement changes only the
-    pairs at the placed letter, so only those are checked again.
-    """
-
-    def __init__(self, g, t, caps, budget):
-        self.t = t
-        self.budget = budget
-        caps = [caps[v] for v in g.vertices()]
-        self.length = sum(caps)
-        self.state = _PairState(g, caps)
-        # a non-edge stops alternating only by xx or yy in its projection,
-        # so on the empty word it needs a copy of each letter and two of one
-        self.hopeless = any(
-            min(caps[x], caps[y]) < 1 or max(caps[x], caps[y]) < 2
-            for x in range(g.n)
-            for y in _bits(self.state.nonadj[x])
-        )
-
-    def search(self):
-        self.budget.tick()
-        state = self.state
-        if state.is_witness():
-            return tuple(state.word)
-        if self.hopeless or len(state.word) == self.length:
-            return None
-        # edges never go infeasible here (we may simply stop placing a
-        # letter), but a still-alternating non-edge must remain breakable
-        for x in state.moves():
-            if _ends_with_occurrence(state.word, x + 1, self.t):
-                continue
-            undo = state.place(x)
-            result = self.search()
-            if result is not None:
-                return result
-            state.unplace(x, undo)
-        return None
-
-
 def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     """Search for a t-avoiding word representing the labeled graph g.
 
     For t in {132, 123} refutations are exhaustive whenever every vertex is
     covered by the multiplicity theorems (always, for 132); the outcome's
     detail records the caps used and whether the refutation is complete.
+
+    The walk bars the letters that would complete an occurrence of t, and
+    no symmetry: relabeling letters preserves the represented graph but not
+    pattern avoidance (labeling matters), so every labeled word within the
+    caps must be considered.  Every non-edge is checked once on the empty
+    word, at the cost of one node; after that a placement changes only the
+    pairs at the placed letter, which the walk checks again.
     """
     t = as_pattern(t)
     caps, complete = multiplicity_caps(g, t)
     budget = _Budget(max_nodes, max_seconds)
-    searcher = _PatternSearch(g, t, caps, budget)
+    state = _PairState(g, [caps[v] for v in g.vertices()])
+    # a non-edge stops alternating only by xx or yy in its projection,
+    # so on the empty word it needs a copy of each letter and two of one
+    rem = state.rem
+    hopeless = any(
+        min(rem[x], rem[y]) < 1 or max(rem[x], rem[y]) < 2
+        for x in range(g.n)
+        for y in _bits(state.nonadj[x])
+    )
+
+    def bar(word):
+        return -1 if hopeless else _occurrence_mask(word, t, g.n)
+
+    def kernel():
+        return tuple(state.word) if state.walk(budget, bar, state.is_witness) else None
+
     return run_search(
-        searcher.search,
+        kernel,
         budget,
         lambda w: word_to_graph(w) == g and not contains_pattern(w, t),
         {"caps": caps, "exhaustive": complete, "pattern": t},
@@ -360,7 +350,8 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
 
 def count_pattern_avoiding_representants(g, t, max_len):
     """Exact number of t-avoiding words of length <= max_len representing the
-    labeled graph g."""
+    labeled graph g: the witnesses of a walk that bars every letter at
+    max_len and otherwise the letters completing an occurrence of t."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
@@ -369,19 +360,16 @@ def count_pattern_avoiding_representants(g, t, max_len):
     state = _PairState(g, [max_len] * g.n)
     count = 0
 
-    def rec():
+    def done():
         nonlocal count
-        if state.is_witness():
-            count += 1
-        if len(state.word) == max_len:
-            return
-        for x in state.moves():
-            if not _ends_with_occurrence(state.word, x + 1, t):
-                undo = state.place(x)
-                rec()
-                state.unplace(x, undo)
+        count += state.is_witness()
+        return False
 
-    rec()
+    state.walk(
+        _Budget(),
+        lambda word: -1 if len(word) == max_len else _occurrence_mask(word, t, g.n),
+        done,
+    )
     return count
 
 

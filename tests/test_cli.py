@@ -8,6 +8,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -527,3 +528,41 @@ def test_cli_sweep_prints_no_traceback(argv):
             code = None
             traceback.print_exc()
     assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+# -- stdout follows docs/cli_schema.json ----------------------------------------
+
+_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(base for base in _SWEEP_BASES if not {"--pattern", "--k"} <= set(base)),
+        ["enumerate", "5", "--list", "--count-nonrep", "--minimal"],
+        ["represent", "family:petersen", "--max-nodes", "100"],  # budget exhausted
+        ["orient", "family:wheel:7", "--max-nodes", "1"],
+    ],
+    ids=" ".join,
+)
+def test_stdout_matches_schema(capsys, argv):
+    main(argv)
+    jsonschema.validate(json.loads(capsys.readouterr().out), _SCHEMA)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of stdout is gone before the CLI writes, as with `| head -1`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wordrep", "decide", "family:cycle:5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")

@@ -42,7 +42,7 @@ def reference_generate(n, connected=True):
     for _ in range(n - 1):
         seen = {}
         for parent in level:
-            for child in _augmentations(parent):
+            for child in _augmentations(parent, range(1 << parent.n)):
                 key = canonical_form(child)
                 if key not in seen:
                     seen[key] = child

@@ -338,7 +338,11 @@ def _complete_multipartite(*parts):
 def test_canonical_form_matches_reference_on_augmentations():
     # every child of the 6-vertex graphs, of which generate() canonicalizes
     # those whose new vertex has maximum degree
-    children = [c for parent in generate(6, connected=False) for c in _augmentations(parent)]
+    children = [
+        c
+        for parent in generate(6, connected=False)
+        for c in _augmentations(parent, range(1 << parent.n))
+    ]
     assert len(children) == 156 * 64
     for child in children:
         assert canonical_form(child) == reference_canonical_form(child)
@@ -441,7 +445,7 @@ def test_refine_cells_matches_sorting_reference_on_augmentations():
     count = 0
     for n in range(1, 7):
         for parent in generate(n, connected=False):
-            for child in _augmentations(parent):
+            for child in _augmentations(parent, range(1 << parent.n)):
                 assert _refine_cells(child) == _sorting_refine_cells(child)
                 count += 1
     assert count == sum(k * 2**n for n, k in {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}.items())

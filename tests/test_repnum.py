@@ -15,7 +15,7 @@ from wordrep.orientation import find_transitive
 from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
-    _ends_with_occurrence,
+    _occurrence_mask,
     _representation,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
@@ -201,6 +201,47 @@ def test_count_catalan_formula():
         expect = 2 + catalan[n - 2] + sum(catalan[: n + 1])
         got = count_pattern_avoiding_representants(families.complete(n), (1, 3, 2), n + 3)
         assert got == expect
+
+
+def test_count_matches_brute_force():
+    # oracle: every word over 1..n up to max_len, with the alternation and
+    # pattern definitions written out here, not by wordrep.words
+    def represented_edges(word, n):
+        edges = set()
+        for x, y in itertools.combinations(range(1, n + 1), 2):
+            projection = [c for c in word if c in (x, y)]
+            if all(a != b for a, b in zip(projection, projection[1:])):
+                edges.add((x, y))
+        return frozenset(edges)
+
+    def contains(word, t):
+        pairs = list(itertools.combinations(range(len(t)), 2))
+        return any(
+            all(
+                (w[i] < w[j]) == (t[i] < t[j]) and (w[i] == w[j]) == (t[i] == t[j])
+                for i, j in pairs
+            )
+            for w in itertools.combinations(word, len(t))
+        )
+
+    patterns = ((1, 3, 2), (1, 2, 3), (2, 1))
+    cases = positive = 0
+    for n, max_len in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        tally = {}
+        for length in range(n, max_len + 1):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                if len(set(word)) == n:
+                    key = represented_edges(word, n)
+                    for t in patterns:
+                        if not contains(word, t):
+                            tally[key, t] = tally.get((key, t), 0) + 1
+        for g in all_labeled_graphs(n):
+            for t in patterns:
+                expected = tally.get((frozenset(g.edges()), t), 0)
+                assert count_pattern_avoiding_representants(g, t, max_len) == expected, (g, t)
+                cases += 1
+                positive += expected > 0
+    assert (cases, positive) == (225, 81)  # not only empty counts are compared
 
 
 def test_perm_representation_numbers():
@@ -636,7 +677,7 @@ def test_ends_with_occurrence_matches_reference():
             words += 1
             for z in range(1, n + 2):
                 expected = _reference_any_ends_with_occurrence(word, z, t)
-                assert _ends_with_occurrence(word, z, t) == expected, (word, z, t)
+                assert _occurrence_mask(word, t, n + 1) >> z - 1 & 1 == expected, (word, z, t)
                 checked += expected
     assert checked > 500  # the occurrences, not only their absence, are compared
 
