@@ -235,14 +235,6 @@ def census(
     BudgetExhausted if any member's search was cut short, since a census
     with budget holes cannot certify counts.
     """
-    return _census(corpus, jobs, checkpoint, max_nodes, max_seconds, progress)[1]
-
-
-def _census(
-    corpus, jobs=1, checkpoint=None, max_nodes=None, max_seconds=None, progress=None
-):
-    """`census`, returned after the canonical hex of every member, in corpus
-    order, so that callers need not compute the keys again."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     _check_limits(max_nodes, max_seconds)
@@ -270,19 +262,14 @@ def _census(
                 sink.flush()
             if progress:
                 progress(i + 1, len(todo))
-    out = {}
-    undecided = 0
-    for key in keys:
-        verdict = verdicts.get(key, "budget")
-        if verdict == "budget":
-            undecided += 1
-        out[key] = verdict
+    out = {key: verdicts.get(key, "budget") for key in keys}
+    undecided = sum(out[key] == "budget" for key in keys)
     if undecided:
         raise BudgetExhausted(
             f"{undecided} of {len(keys)} graphs hit the search budget; "
             "counts would not be trustworthy"
         )
-    return keys, out
+    return out
 
 
 def count_non_representable(corpus, **kw):
@@ -294,8 +281,8 @@ def count_non_representable(corpus, **kw):
 
 def non_representable_members(corpus, **kw):
     """Corpus members that are not word-representable, in corpus order."""
-    keys, verdicts = _census(corpus, **kw)
-    return [g for g, key in zip(corpus, keys) if verdicts[key] == "non_representable"]
+    verdicts = census(corpus, **kw)  # which leaves each member's canonical form in `_key`
+    return [g for g in corpus if verdicts[g._key.hex()] == "non_representable"]
 
 
 def minimal_non_representable(corpus, **kw):

@@ -18,22 +18,6 @@ from __future__ import annotations
 from .graphs import Graph, add_apex, is_connected
 from .words import word_to_graph
 
-FAMILY_NAMES = (
-    "complete",
-    "empty",
-    "path",
-    "cycle",
-    "ladder",
-    "prism",
-    "crown",
-    "crown_apex",
-    "wheel",
-    "star",
-    "claw",
-    "petersen",
-)
-
-
 def complete(n):
     return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
@@ -148,18 +132,16 @@ _MAKERS = {
     "wheel": wheel,
     "star": star,
 }
+_FIXED = {"claw": claw, "petersen": petersen}  # the families that take no parameter
+FAMILY_NAMES = (*_MAKERS, *_FIXED)
 
 
 def make(name, param=None):
     """Build a named family member: make("wheel", 5) -> W5."""
-    if name == "petersen":
+    if name in _FIXED:
         if param not in (None, 0):
-            raise ValueError("petersen takes no parameter")
-        return petersen()
-    if name == "claw":
-        if param not in (None, 0):
-            raise ValueError("claw takes no parameter")
-        return claw()
+            raise ValueError(f"{name} takes no parameter")
+        return _FIXED[name]()
     if name not in _MAKERS:
         raise ValueError(f"unknown family {name!r} (choose from {FAMILY_NAMES})")
     if param is None:
@@ -226,24 +208,14 @@ def forest_two_representant(f):
     return w
 
 
-def _path_word(n):
-    """2-uniform representant of the path 1-2-...-n by leaf insertion."""
-    word = [1, 2, 1, 2]
-    for v in range(3, n + 1):
-        word = _insert_leaf(word, v, v - 1)
-    return word
-
-
 def cycle_two_representant(n):
     """2-uniform word for the cycle 1..n: represent the path 1..n, make a
     one-letter cyclic shift (harmless on a uniform word), then swap the
     first two letters to close the cycle."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    word = _path_word(n)
-    word = [word[-1]] + word[:-1]
-    word[0], word[1] = word[1], word[0]
-    w = tuple(word)
+    p = tree_two_representant(path(n))
+    w = (p[0], p[-1], *p[1:-1])  # the shift puts p[-1] first, the swap second
     if word_to_graph(w) != cycle(n):
         raise AssertionError("cycle construction produced a non-representing word")
     return w
@@ -273,11 +245,7 @@ def known_representant(name, param=None):
             return (1,)
         return tuple(range(1, param + 1)) + tuple(range(param, 0, -1))
     if name == "path":
-        if param == 1:
-            return (1,)
-        if param == 2:
-            return (1, 2, 1, 2)
-        return tuple(_path_word(param))
+        return tuple(range(1, param + 1)) if param < 2 else tree_two_representant(path(param))
     if name == "cycle":
         return cycle_two_representant(param)
     if name == "ladder":

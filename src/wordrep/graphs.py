@@ -66,7 +66,7 @@ class Graph:
 
     @property
     def m(self):
-        return sum(bin(a).count("1") for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def has_edge(self, u, v):
         n = self.n
@@ -76,7 +76,7 @@ class Graph:
         return tuple(u + 1 for u in _bits(self._row(v)))
 
     def degree(self, v):
-        return bin(self._row(v)).count("1")
+        return self._row(v).bit_count()
 
     def _row(self, v):
         if not 0 < v <= self.n:
@@ -84,7 +84,7 @@ class Graph:
         return self.adj[v - 1]
 
     def degree_sequence(self):
-        return tuple(sorted(bin(a).count("1") for a in self.adj))
+        return tuple(sorted(a.bit_count() for a in self.adj))
 
     # -- value semantics ---------------------------------------------------
 
@@ -340,11 +340,11 @@ def connected_components(g):
 def max_clique_size(g):
     """Exact clique number by branch and bound on bitmasks."""
     best = 0
-    order = sorted(range(g.n), key=lambda v: bin(g.adj[v]).count("1"))
+    order = sorted(range(g.n), key=lambda v: g.adj[v].bit_count())
 
     def expand(cand, size):
         nonlocal best
-        if size + bin(cand).count("1") <= best:
+        if size + cand.bit_count() <= best:
             return
         if not cand:
             best = max(best, size)
@@ -355,7 +355,7 @@ def max_clique_size(g):
                 continue
             expand(cand & g.adj[v], size + 1)
             cand &= ~bit
-            if size + bin(cand).count("1") <= best:
+            if size + cand.bit_count() <= best:
                 return
 
     expand((1 << g.n) - 1, 0)
@@ -376,12 +376,12 @@ def contains_induced(g, h):
     placed = 0
     rem = set(range(h.n))
     while rem:
-        v = max(rem, key=lambda x: (bin(h.adj[x] & placed).count("1"), bin(h.adj[x]).count("1")))
+        v = max(rem, key=lambda x: ((h.adj[x] & placed).bit_count(), h.adj[x].bit_count()))
         order.append(v)
         placed |= 1 << v
         rem.remove(v)
-    gdeg = [bin(g.adj[v]).count("1") for v in range(g.n)]
-    hdeg = [bin(h.adj[v]).count("1") for v in range(h.n)]
+    gdeg = [g.adj[v].bit_count() for v in range(g.n)]
+    hdeg = [h.adj[v].bit_count() for v in range(h.n)]
     image = [0] * h.n  # h-vertex -> g-vertex (0-indexed)
     used = [False] * g.n
 

@@ -187,12 +187,17 @@ def word_to_orientation(w):
     first = {}
     for i, c in enumerate(w):
         first.setdefault(c, i)
+    return _orient_by_rank(g, [first[v] for v in g.vertices()])
+
+
+def _orient_by_rank(g, rank):
+    """Orient every edge of g from the end of lower rank; `rank` lists the
+    ranks of vertices 1..n, and the two ends of an edge never tie."""
     succ = [0] * g.n
     for u, v in g.edges():
-        if first[u] < first[v]:
-            succ[u - 1] |= 1 << (v - 1)
-        else:
-            succ[v - 1] |= 1 << (u - 1)
+        if rank[u - 1] > rank[v - 1]:
+            u, v = v, u
+        succ[u - 1] |= 1 << (v - 1)
     return Orientation._from_succ(g, succ)
 
 
@@ -222,7 +227,7 @@ class _OrientSearch:
         self.succ = [0] * g.n
         self.pred = [0] * g.n
         self.budget = budget
-        deg = [bin(a).count("1") for a in self.adj]
+        deg = [a.bit_count() for a in self.adj]
         # branch on edges with high-degree endpoints first
         self.edges = sorted(
             ((u - 1, v - 1) for u, v in g.edges()),
@@ -489,7 +494,7 @@ def three_color(g, max_nodes=None, max_seconds=None):
     if g.n > THREE_COLOR_CEILING:
         raise CeilingExceeded(f"3-coloring supports n <= {THREE_COLOR_CEILING}")
     budget = _Budget(max_nodes, max_seconds)
-    order = sorted(range(g.n), key=lambda v: -bin(g.adj[v]).count("1"))
+    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
     color = [0] * g.n  # 0 = uncolored
 
     def assign(i, palette):
@@ -526,10 +531,4 @@ def orientation_from_coloring(g, coloring):
     for u, v in g.edges():
         if coloring[u - 1] == coloring[v - 1]:
             raise ValueError(f"coloring is not proper on edge ({u},{v})")
-    succ = [0] * g.n
-    for u, v in g.edges():
-        if coloring[u - 1] < coloring[v - 1]:
-            succ[u - 1] |= 1 << (v - 1)
-        else:
-            succ[v - 1] |= 1 << (u - 1)
-    return Orientation._from_succ(g, succ)
+    return _orient_by_rank(g, coloring)

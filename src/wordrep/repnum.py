@@ -11,8 +11,10 @@ representable graph always has a witness with every letter at most twice.
 All searches are one walk, `_PairState.walk`, which grows the word one
 letter at a time, in increasing order, so every search is deterministic.
 Each search says only when it is done and which letters it bars at a node,
-as a mask: the pattern searches bar the letters that would complete an
-occurrence of the pattern, and the uniform search bars by symmetry.
+as a mask computed from the pair state: the pattern searches bar the letters
+that would complete an occurrence of the pattern, and the uniform search
+bars by symmetry, with one bar per graph, `_symmetry_bar(g)`, which
+`representation_number` shares across every k it tries.
 
 The uniform search breaks two symmetries.  It keeps the word's
 first-occurrence sequence lexicographically minimal within the graph's
@@ -111,8 +113,9 @@ class _PairState:
         holds: True leaves that word in place, False the word as it was.
 
         Each call ticks `budget` once and then tries, in increasing order,
-        each move outside the mask `bar(word)`.  A search may bar only
-        letters whose subtrees hold no word it wants.
+        each move outside the mask `bar(self)`, which may read any of the
+        state.  A search may bar only letters whose subtrees hold no word it
+        wants.
 
         A move x has a copy left, would not repeat in the projection of an
         edge at x, and leaves every alternating non-edge at x breakable:
@@ -131,7 +134,7 @@ class _PairState:
         budget.tick()
         if done():
             return True
-        barred = bar(self.word)
+        barred = bar(self)
         adj, nonadj, before, broken, low = self.adj, self.nonadj, self.before, self.broken, self.low
         for x, r in enumerate(self.rem):  # each child puts rem back as it found it
             if not r or adj[x] & before[x] or barred >> x & 1:
@@ -145,12 +148,14 @@ class _PairState:
         return False
 
 
-def _symmetry_bar(state, auts):
-    """The uniform search's barred mask, kept per set of placed letters:
-    only letter 1 may start the word, and each automorphism that fixes every
-    placed letter bars the letters it maps lower.  The placed letters of a
-    uniform word are its first-occurrence prefix, so that prefix stays least
-    in its orbit (see the module docstring)."""
+def _symmetry_bar(g):
+    """The uniform search's symmetry policy for g, as a bar over the pair
+    state: only letter 1 may start the word, and each automorphism that
+    fixes every placed letter bars the letters it maps lower.  The placed
+    letters of a uniform word are its first-occurrence prefix, so that
+    prefix stays least in its orbit (see the module docstring).  The mask
+    depends only on the placed set, not on k, so one bar serves every k."""
+    auts = automorphisms(g, limit=AUTOMORPHISM_CAP) if g.n <= CANONICAL_CEILING else ()
     rules = []  # the letters each automorphism fixes, and those it maps lower
     for a in auts:
         fixed = lowered = 0
@@ -162,7 +167,7 @@ def _symmetry_bar(state, auts):
         rules.append((fixed, lowered))
     memo = {0: ~1}
 
-    def bar(word):
+    def bar(state):
         placed = state.placed
         barred = memo.get(placed)
         if barred is None:
@@ -183,15 +188,15 @@ def find_k_uniform_word(
     max_seconds=None,
     *,
     budget=None,
-    auts=None,
+    bar=None,
 ):
     """Search for a k-uniform word representing the labeled graph g.
 
     A refuted outcome is exhaustive over all k-uniform words; neither
     symmetry reduction (automorphisms, cyclic shifts) prunes the last witness.
     A caller that searches several k passes its `_Budget` as `budget`, which
-    then replaces `max_nodes` and `max_seconds`, and the list
-    `automorphisms(g, limit=AUTOMORPHISM_CAP)` as `auts`.
+    then replaces `max_nodes` and `max_seconds`, and `_symmetry_bar(g)` as
+    `bar`, so the symmetry rules are compiled once for all k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -201,10 +206,9 @@ def find_k_uniform_word(
         return SearchOutcome(WITNESS, (), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
-    if auts is None:
-        auts = automorphisms(g, limit=AUTOMORPHISM_CAP) if g.n <= CANONICAL_CEILING else ()
+    if bar is None:
+        bar = _symmetry_bar(g)
     state = _PairState(g, [k] * g.n)
-    bar = _symmetry_bar(state, auts)
     length = g.n * k
 
     def kernel():
@@ -231,10 +235,10 @@ def _representation(g, budget):
     representant for the least k (None when g is not representable)."""
     if not _decide(g, budget).require_conclusive().found:
         return math.inf, None
-    auts = automorphisms(g, limit=AUTOMORPHISM_CAP)
+    bar = _symmetry_bar(g)
     bound = max(1, 2 * (g.n - max_clique_size(g)))
     for k in range(1, bound + 1):
-        outcome = find_k_uniform_word(g, k, budget=budget, auts=auts).require_conclusive()
+        outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
         if outcome.found:
             return k, outcome.witness
     raise AssertionError(
@@ -334,8 +338,8 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
         for y in _bits(state.nonadj[x])
     )
 
-    def bar(word):
-        return -1 if hopeless else _occurrence_mask(word, t, g.n)
+    def bar(state):
+        return -1 if hopeless else _occurrence_mask(state.word, t, g.n)
 
     def kernel():
         return tuple(state.word) if state.walk(budget, bar, state.is_witness) else None
@@ -367,7 +371,7 @@ def count_pattern_avoiding_representants(g, t, max_len):
 
     state.walk(
         _Budget(),
-        lambda word: -1 if len(word) == max_len else _occurrence_mask(word, t, g.n),
+        lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
         done,
     )
     return count
@@ -458,7 +462,7 @@ def permutational_representation_number(g, max_p=3):
                 return tuple(
                     v + 1
                     for up, _ in exts + [(succ, pred)] * (p - len(exts))
-                    for v in sorted(range(n), key=lambda v: -bin(up[v]).count("1"))
+                    for v in sorted(range(n), key=lambda v: -up[v].bit_count())
                 )
         return None
 

@@ -11,12 +11,13 @@ from conftest import all_labeled_graphs, atlas_graphs, relabel
 from wordrep import families
 from wordrep.enumeration import generate
 from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms, complement
-from wordrep.orientation import find_transitive
+from wordrep.orientation import _decide, find_transitive
 from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
     _occurrence_mask,
     _representation,
+    _symmetry_bar,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
     find_pattern_avoiding_word,
@@ -764,6 +765,31 @@ def test_representation_number_computes_automorphisms_once(monkeypatch):
     )
     assert representation_number(families.prism(3)) == 3  # tries k = 1, 2, 3
     assert len(calls) == 1
+
+
+def test_representation_number_builds_one_symmetry_bar(monkeypatch):
+    from wordrep import repnum
+
+    calls = []
+    build = repnum._symmetry_bar
+    monkeypatch.setattr(repnum, "_symmetry_bar", lambda g: calls.append(g) or build(g))
+    assert representation_number(families.prism(3)) == 3  # tries k = 1, 2, 3
+    assert len(calls) == 1
+
+
+def test_shared_symmetry_bar_matches_a_fresh_bar_per_k(connected_upto_6):
+    # the barred mask depends only on the placed set, so the memo that every
+    # k shares changes neither the witness nor the node total
+    for graphs in connected_upto_6.values():
+        for g in graphs:
+            budget = _Budget()
+            k, witness = _representation(g, budget)
+            fresh = _Budget()
+            assert _decide(g, fresh).found == (witness is not None)
+            out = None
+            for j in range(1, k + 1) if witness else ():
+                out = find_k_uniform_word(g, j, budget=fresh, bar=_symmetry_bar(g))
+            assert (out and out.witness) == witness and fresh.nodes == budget.nodes, g
 
 
 # -- permutation representation -------------------------------------------------
