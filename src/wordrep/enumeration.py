@@ -281,8 +281,9 @@ def count_non_representable(corpus, **kw):
 
 def non_representable_members(corpus, **kw):
     """Corpus members that are not word-representable, in corpus order."""
-    verdicts = census(corpus, **kw)  # which leaves each member's canonical form in `_key`
-    return [g for g in corpus if verdicts[g._key.hex()] == "non_representable"]
+    graphs = list(corpus)  # read once: a one-shot iterable has no second pass
+    verdicts = census(graphs, **kw)  # which leaves each member's canonical form in `_key`
+    return [g for g in graphs if verdicts[g._key.hex()] == "non_representable"]
 
 
 def minimal_non_representable(corpus, **kw):

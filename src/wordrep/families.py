@@ -15,8 +15,9 @@ Labeling conventions, fixed so that the word fixtures verify exactly:
 
 from __future__ import annotations
 
-from .graphs import Graph, add_apex, is_connected
+from .graphs import Graph, add_apex, connected_components, is_connected
 from .words import word_to_graph
+
 
 def complete(n):
     return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
@@ -152,57 +153,41 @@ def make(name, param=None):
 # -- representant constructions ----------------------------------------------
 
 
-def _insert_leaf(word, leaf, parent):
-    """Rewrite w1 y w2 y w3 as w1 y w2 x y x w3 for a new leaf x at y."""
-    first = word.index(parent)
-    second = word.index(parent, first + 1)
-    return word[:second] + [leaf, parent, leaf] + word[second + 1 :]
-
-
 def tree_two_representant(t):
-    """2-uniform word for a tree, by leaf insertion.
-
-    An edge {x, y} is represented by xyxy; re-attaching a leaf x at y turns a
-    word w1 y w2 y w3 into w1 y w2 x y x w3.  Rebuilding the tree leaf by
-    leaf yields a 2-uniform representant, verified against the input before
-    returning.
-    """
+    """2-uniform word for a tree, by the leaf insertion of
+    `forest_two_representant`."""
     if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
         raise ValueError("input is not a tree with at least 2 vertices")
-    # peel leaves (largest label first, for determinism), replay in reverse
-    degrees = [t.degree(v) for v in t.vertices()]
-    alive = set(t.vertices())
+    return forest_two_representant(t)
+
+
+def forest_two_representant(f):
+    """2-uniform word for a forest, by leaf insertion.
+
+    Leaves are peeled, largest label first, until every vertex left is
+    isolated; a tree on at least 2 vertices has at least 2 leaves, so what is
+    left is the least vertex of each component.  The word starts as x x for
+    each of them in increasing order, and re-attaching a leaf x at y turns
+    w1 y w2 y w3 into w1 y w2 x y x w3 (so an edge {y, x} reads y x y x).
+    The word is verified against the input before returning.
+    """
+    if f.m != f.n - len(connected_components(f)):
+        raise ValueError("input is not a forest")
+    degrees = [f.degree(v) for v in f.vertices()]
+    alive = set(f.vertices())
     removed = []
-    while len(alive) > 2:
-        leaf = max(v for v in alive if degrees[v - 1] == 1)
-        parent = next(u for u in t.neighbors(leaf) if u in alive)
+    while leaves := [v for v in alive if degrees[v - 1] == 1]:
+        leaf = max(leaves)
+        parent = next(u for u in f.neighbors(leaf) if u in alive)
         removed.append((leaf, parent))
         alive.remove(leaf)
         degrees[leaf - 1] -= 1
         degrees[parent - 1] -= 1
-    a, b = sorted(alive)
-    word = [a, b, a, b]
+    word = [x for x in sorted(alive) for _ in range(2)]
     for leaf, parent in reversed(removed):
-        word = _insert_leaf(word, leaf, parent)
+        second = word.index(parent, word.index(parent) + 1)
+        word[second : second + 1] = [leaf, parent, leaf]
     w = tuple(word)
-    if word_to_graph(w) != t:
-        raise AssertionError("tree construction produced a non-representing word")
-    return w
-
-
-def forest_two_representant(f):
-    """Concatenate per-tree 2-uniform words (single vertices become xx)."""
-    from .graphs import connected_components, induced_subgraph
-
-    out = []
-    for comp in connected_components(f):
-        sub = induced_subgraph(f, comp)
-        relabel = {i + 1: v for i, v in enumerate(sorted(comp))}
-        if sub.n == 1:
-            out.extend([relabel[1], relabel[1]])
-        else:
-            out.extend(relabel[c] for c in tree_two_representant(sub))
-    w = tuple(out)
     if word_to_graph(w) != f:
         raise AssertionError("forest construction produced a non-representing word")
     return w

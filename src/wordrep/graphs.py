@@ -53,16 +53,7 @@ class Graph:
 
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u + 1, v + 1))
-                m >>= 1
-                v += 1
-        return out
+        return [(u + 1, v + 1) for u, a in enumerate(self.adj) for v in _bits(a >> u + 1 << u + 1)]
 
     @property
     def m(self):

@@ -39,9 +39,9 @@ def from_graph6(text):
     if n < 0 or n > 62:
         raise ValueError("only short-form graph6 (n <= 62) is supported")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = text[1 : 1 + need]
+    body = text[1:]
     if len(body) != need:
-        raise ValueError("graph6 string too short")
+        raise ValueError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")
     bits = []
     for ch in body:
         value = ord(ch) - 63

@@ -292,23 +292,20 @@ def multiplicity_caps(g, t):
     within that cap.
     """
     t = as_pattern(t)
+    if t == (1, 3, 2):
+        return {v: 2 for v in g.vertices()}, True
     k = len(t) - 1
     caps = {}
-    covered = {}
+    complete = True
     for v in g.vertices():
         if g.degree(v) >= k:
             caps[v] = k
-            covered[v] = True
         elif any(g.degree(u) >= k for u in g.neighbors(v)):
             caps[v] = k + 1
-            covered[v] = True
         else:
             caps[v] = max(3, k + 1)
-            covered[v] = False
-    if t == (1, 3, 2):
-        caps = {v: min(2, c) for v, c in caps.items()}
-        covered = {v: True for v in covered}
-    return caps, all(covered.values())
+            complete = False
+    return caps, complete
 
 
 def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import Graph
+from .graphs import _bits, _from_masks
 
 
 def as_word(letters):
@@ -45,28 +45,25 @@ def word_to_graph(w):
     if alphabet != set(range(1, n + 1)):
         missing = sorted(set(range(1, n + 1)) - alphabet)
         raise ValueError(f"alphabet has gaps, missing {missing}")
-    # single pass: a pair stops alternating when one letter repeats in the
-    # projection, i.e. recurs with no occurrence of the other in between
-    last_pos = [-1] * (n + 1)
-    prev_pos = [-1] * (n + 1)
-    broken = [[False] * (n + 1) for _ in range(n + 1)]
+    # a pair stops alternating when one of its letters recurs with no copy
+    # of the other in between: at each recurrence of x, every letter outside
+    # `since`, the letters seen since the last copy of x, loses its edge to x
+    full = (1 << n) - 1
+    adj = [full ^ 1 << x for x in range(n)]
+    last = [-1] * n
     for i, c in enumerate(w):
-        prev = last_pos[c]
-        for other in range(1, n + 1):
-            if other == c:
-                continue
-            if last_pos[other] < prev:
-                # other did not occur since the previous copy of c
-                if prev != -1:
-                    broken[c][other] = broken[other][c] = True
-        last_pos[c] = i
-    edges = [
-        (x, y)
-        for x in range(1, n + 1)
-        for y in range(x + 1, n + 1)
-        if not broken[x][y]
-    ]
-    return Graph(n, edges)
+        x = c - 1
+        prev = last[x]
+        if prev >= 0:
+            since = 0
+            for y, p in enumerate(last):
+                if p > prev:
+                    since |= 1 << y
+            for y in _bits(adj[x] & ~since):
+                adj[y] &= ~(1 << x)
+            adj[x] &= since
+        last[x] = i
+    return _from_masks(n, adj)
 
 
 def is_uniform(w, k=None):

@@ -348,14 +348,18 @@ _SPECS = st.one_of(
 
 @st.composite
 def _bad_graph6(draw):
-    """A graph6 line with a header out of range, a short body or a bad byte."""
+    """A graph6 line with a header out of range, a short or long body or a
+    bad byte."""
     n = draw(st.integers(2, 12))
     body = [chr(63 + draw(st.integers(0, 63))) for _ in range((n * (n - 1) // 2 + 5) // 6)]
-    kind = draw(st.sampled_from(["header", "short", "byte"]))
+    kind = draw(st.sampled_from(["header", "short", "long", "byte"]))
     if kind == "header":
         return chr(draw(st.integers(33, 62))) + "".join(body)
     if kind == "short":
         return chr(n + 63) + "".join(body[: draw(st.integers(0, len(body) - 1))])
+    if kind == "long":
+        extra = draw(st.lists(st.integers(0, 63), min_size=1, max_size=3))
+        return chr(n + 63) + "".join(body) + "".join(chr(63 + v) for v in extra)
     body[draw(st.integers(0, len(body) - 1))] = chr(draw(st.integers(33, 62)))
     return chr(n + 63) + "".join(body)
 
@@ -404,6 +408,7 @@ def test_malformed_files_exit_2(tmp_path):
         "loop.txt": "3 1\n2 2\n",
         "wide.txt": "3 1\n1 2 3\n",
         "empty.g6": "",
+        "long.g6": "Bwxyz\n",  # K3's body plus three bytes
         "binary.g6": b"\xff\xfe\x00",
     }
     for name, content in cases.items():

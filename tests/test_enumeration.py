@@ -215,6 +215,18 @@ def test_members_reuse_census_keys(monkeypatch):
     assert len(calls) == 112
 
 
+def test_members_from_a_one_shot_corpus():
+    corpus = generate(6)
+    members = non_representable_members(iter(corpus.graphs))
+    assert members == non_representable_members(corpus) and len(members) == 1
+
+
+def test_minimal_from_a_one_shot_corpus():
+    corpus = generate(6)
+    minimal = minimal_non_representable(iter(corpus.graphs))
+    assert minimal == minimal_non_representable(corpus) and len(minimal) == 1
+
+
 def test_minimal_subgraph_decisions_take_the_budget():
     # W5 falls to the neighbourhood filter with no search nodes, so only the
     # decisions on its vertex-deleted subgraphs can spend the budget

@@ -138,6 +138,37 @@ def test_forest_representant(rng):
         w = families.forest_two_representant(f)
         assert is_uniform(w, 2)
         assert word_to_graph(w) == f
+    # components with interleaved labels, isolated vertices and K2s
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        labels = rng.sample(range(1, n + 1), n)
+        edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n) if rng.random() < 0.6]
+        f = Graph(n, edges)
+        w = families.forest_two_representant(f)
+        assert is_uniform(w, 2)
+        assert word_to_graph(w) == f
+
+
+@pytest.mark.parametrize(
+    "n, edges, word",
+    [
+        (7, [(5, 2), (2, 7), (3, 6)], (1, 1, 2, 5, 7, 2, 7, 5, 3, 6, 3, 6, 4, 4)),
+        (8, [(8, 1), (1, 5), (5, 3), (6, 4), (4, 2)], (1, 5, 8, 1, 8, 3, 5, 3, 2, 4, 2, 6, 4, 6, 7, 7)),
+        (
+            9,
+            [(9, 2), (9, 4), (9, 6), (1, 8), (3, 5), (5, 7)],
+            (1, 8, 1, 8, 2, 9, 2, 4, 6, 9, 6, 4, 3, 5, 3, 7, 5, 7),
+        ),
+    ],
+)
+def test_forest_representant_words_pinned(n, edges, word):
+    assert families.forest_two_representant(Graph(n, edges)) == word
+
+
+def test_forest_representant_rejects_cycles():
+    for g in (families.cycle(4), families.complete(3), disjoint_union(families.path(2), families.cycle(3))):
+        with pytest.raises(ValueError, match=r"^input is not a forest$"):
+            families.forest_two_representant(g)
 
 
 def test_pattern_fixtures():

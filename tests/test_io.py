@@ -63,6 +63,11 @@ def test_graph6_errors():
         from_graph6("")
     with pytest.raises(ValueError):
         from_graph6("I")  # truncated body for n=10
+    for text in ("Bwx", "Bwxyz", "@x", "?x", "I" + "?" * 8 + "w"):  # bytes past the body
+        with pytest.raises(nx.NetworkXError):
+            nx.from_graph6_bytes(text.encode())
+        with pytest.raises(ValueError):
+            from_graph6(text)
     with pytest.raises(ValueError):
         to_graph6(families.empty(63))
 
