@@ -217,7 +217,21 @@ def _load_checkpoint(path):
     return verdicts, torn
 
 
-def census(
+def census(corpus, **kw):
+    """Map every corpus member to a representability verdict.
+
+    Returns {canonical hex: verdict}; order of evaluation never affects the
+    result.  With `jobs` > 1 the verdicts arrive from the worker pool a
+    chunk of up to 512 graphs at a time.  With `checkpoint`, verdicts are
+    appended to the file as they arrive, one flushed line each, and
+    already-decided graphs are skipped on resume.  Raises BudgetExhausted if
+    any member's search was cut short, since a census with budget holes
+    cannot certify counts.  The keywords are those of `_census`.
+    """
+    return _census(corpus, **kw)[1]
+
+
+def _census(
     corpus,
     jobs=1,
     checkpoint=None,
@@ -225,16 +239,7 @@ def census(
     max_seconds=None,
     progress=None,
 ):
-    """Map every corpus member to a representability verdict.
-
-    Returns {canonical hex: verdict}; order of evaluation never affects the
-    result.  With `jobs` > 1 the verdicts arrive from the worker pool a
-    chunk of up to 512 graphs at a time.  With `checkpoint`,
-    verdicts are appended to the file as they arrive, one flushed line each,
-    and already-decided graphs are skipped on resume.  Raises
-    BudgetExhausted if any member's search was cut short, since a census
-    with budget holes cannot certify counts.
-    """
+    """`census`, and the canonical hex of each corpus member in corpus order."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     _check_limits(max_nodes, max_seconds)
@@ -269,7 +274,7 @@ def census(
             f"{undecided} of {len(keys)} graphs hit the search budget; "
             "counts would not be trustworthy"
         )
-    return out
+    return keys, out
 
 
 def count_non_representable(corpus, **kw):
@@ -282,8 +287,8 @@ def count_non_representable(corpus, **kw):
 def non_representable_members(corpus, **kw):
     """Corpus members that are not word-representable, in corpus order."""
     graphs = list(corpus)  # read once: a one-shot iterable has no second pass
-    verdicts = census(graphs, **kw)  # which leaves each member's canonical form in `_key`
-    return [g for g in graphs if verdicts[g._key.hex()] == "non_representable"]
+    keys, verdicts = _census(graphs, **kw)
+    return [g for g, key in zip(graphs, keys) if verdicts[key] == "non_representable"]
 
 
 def minimal_non_representable(corpus, **kw):

@@ -15,7 +15,7 @@ Labeling conventions, fixed so that the word fixtures verify exactly:
 
 from __future__ import annotations
 
-from .graphs import Graph, add_apex, connected_components, is_connected
+from .graphs import Graph, add_apex, cartesian_product, complement, connected_components, is_connected
 from .words import word_to_graph
 
 
@@ -40,29 +40,20 @@ def cycle(n):
 def ladder(n):
     if n < 1:
         raise ValueError("ladder needs n >= 1")
-    edges = [(i, n + i) for i in range(1, n + 1)]
-    edges += [(i, i + 1) for i in range(1, n)]
-    edges += [(n + i, n + i + 1) for i in range(1, n)]
-    return Graph(2 * n, edges)
+    return cartesian_product(path(2), path(n))
 
 
 def prism(n):
     if n < 3:
         raise ValueError("prism needs n >= 3")
-    edges = [(i, i % n + 1) for i in range(1, n + 1)]
-    edges += [(n + i, n + i % n + 1) for i in range(1, n + 1)]
-    edges += [(i, n + i) for i in range(1, n + 1)]
-    return Graph(2 * n, edges)
+    return cartesian_product(path(2), cycle(n))
 
 
 def crown(n):
     """Complete bipartite K_{n,n} minus the perfect matching (i, n+i)."""
     if n < 1:
         raise ValueError("crown needs n >= 1")
-    edges = [
-        (i, n + j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    ]
-    return Graph(2 * n, edges)
+    return complement(cartesian_product(complete(2), complete(n)))
 
 
 def crown_apex(n):

@@ -193,42 +193,29 @@ def cartesian_product(g, h):
 
 
 def rooted_product(g, h, root):
-    """Attach a copy of h to every vertex of g, identified at `root`.
+    """Attach a copy of h to every vertex of g, identified at `root`: h
+    glued at `root` to vertex 1, 2, ..., n(g) of g in turn.
 
     Vertex i of g keeps label i and plays the root of copy i; the non-root
     vertices of copy i follow in blocks after n(g), preserving their order.
     """
     if not 1 <= root <= h.n:
         raise ValueError(f"root {root} not a vertex of h")
-    rest = [v for v in h.vertices() if v != root]
-    block = len(rest)
-    edges = list(g.edges())
-    for i in range(g.n):
-        relabel = {root: i + 1}
-        for j, v in enumerate(rest):
-            relabel[v] = g.n + i * block + j + 1
-        for u, v in h.edges():
-            edges.append((relabel[u], relabel[v]))
-    return Graph(g.n + g.n * block, edges)
+    out = g
+    for i in g.vertices():
+        out = glue_at_vertex(out, h, i, root)
+    return out
 
 
 def substitute_module(g, v, m):
     """Replace vertex v of g by the graph m; every vertex of m inherits v's
-    neighborhood.  The remaining g-vertices are compacted to 1..n(g)-1 in
-    order; m's vertices follow."""
+    neighborhood: m is joined to N(v) beside g, then v is deleted.  The
+    remaining g-vertices are compacted to 1..n(g)-1 in order; m's vertices
+    follow."""
     if not 1 <= v <= g.n:
         raise ValueError(f"vertex {v} not in graph")
-    old = [u for u in g.vertices() if u != v]
-    index = {u: i + 1 for i, u in enumerate(old)}
-    edges = [(index[a], index[b]) for a, b in g.edges() if v not in (a, b)]
-    hood = [index[u] for u in g.neighbors(v)]
-    base = len(old)
-    for a, b in m.edges():
-        edges.append((base + a, base + b))
-    for w in range(1, m.n + 1):
-        for u in hood:
-            edges.append((u, base + w))
-    return Graph(base + m.n, edges)
+    join = [(u, g.n + w) for u in g.neighbors(v) for w in m.vertices()]
+    return delete_vertex(Graph(g.n + m.n, disjoint_union(g, m).edges() + join), v)
 
 
 def subdivide(g, edge, parts):
@@ -269,17 +256,9 @@ def contract_edge(g, edge):
 
 def glue_at_vertex(g, h, u, v):
     """Disjoint union of g and h with vertex u of g identified with vertex v
-    of h.  g keeps its labels; h's other vertices follow after n(g) in order."""
-    if not 1 <= u <= g.n:
-        raise ValueError(f"vertex {u} not in first graph")
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} not in second graph")
-    rest = [w for w in h.vertices() if w != v]
-    relabel = {v: u}
-    for j, w in enumerate(rest):
-        relabel[w] = g.n + j + 1
-    edges = list(g.edges()) + [(relabel[a], relabel[b]) for a, b in h.edges()]
-    return Graph(g.n + h.n - 1, edges)
+    of h: the edge of `connect_by_edge` contracted.  g keeps its labels; h's
+    other vertices follow after n(g) in order."""
+    return contract_edge(connect_by_edge(g, h, u, v), (u, g.n + v))
 
 
 def connect_by_edge(g, h, u, v):
@@ -289,14 +268,11 @@ def connect_by_edge(g, h, u, v):
         raise ValueError(f"vertex {u} not in first graph")
     if not 1 <= v <= h.n:
         raise ValueError(f"vertex {v} not in second graph")
-    edges = list(g.edges()) + [(a + g.n, b + g.n) for a, b in h.edges()]
-    edges.append((u, v + g.n))
-    return Graph(g.n + h.n, edges)
+    return Graph(g.n + h.n, disjoint_union(g, h).edges() + [(u, g.n + v)])
 
 
 def disjoint_union(g, h):
-    edges = list(g.edges()) + [(a + g.n, b + g.n) for a, b in h.edges()]
-    return Graph(g.n + h.n, edges)
+    return _from_masks(g.n + h.n, g.adj + tuple(a << g.n for a in h.adj))
 
 
 # -- connectivity ----------------------------------------------------------

@@ -53,9 +53,9 @@ class _OutOfBudget(Exception):
 
 
 def _check_limits(max_nodes=None, max_seconds=None):
-    """Raise ValueError unless each limit is None or non-negative."""
+    """Raise ValueError unless each limit is None or non-negative (not NaN)."""
     for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
-        if limit is not None and limit < 0:
+        if limit is not None and not limit >= 0:
             raise ValueError(f"{name} must be non-negative, not {limit}")
 
 

@@ -356,7 +356,7 @@ def count_pattern_avoiding_representants(g, t, max_len):
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
-    if g.n**max_len > 10**8:
+    if max(g.n, 2) ** max_len > 10**8:  # K1 and the null graph still recurse once per letter
         raise CeilingExceeded("alphabet**length too large for exhaustive count")
     state = _PairState(g, [max_len] * g.n)
     count = 0

@@ -266,6 +266,19 @@ def test_pattern_count_negative_length_exits_2(capsys):
     assert json.loads(captured.err)["error"] == "max_len must be non-negative"
 
 
+def test_pattern_count_on_k1_past_the_ceiling_exits_2(capsys):
+    argv = ["pattern-count", "family:complete:1", "--pattern", "132", "--max-len", "1000"]
+    code, text = _main_quietly(argv)
+    assert code == 2 and "Traceback" not in text
+    assert json.loads(text)["error"] == "alphabet**length too large for exhaustive count"
+
+
+def test_word_with_a_wide_gap_exits_2(capsys):
+    assert main(["word-graph", "1,1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err) < 100
+
+
 def test_budget_exit_code(capsys):
     payload, code = run(capsys, "orient", "family:wheel:7", "--max-nodes", "3")
     assert code == 3
@@ -286,6 +299,8 @@ def test_negative_limits_exit_2(capsys, monkeypatch):
         ["enumerate", "4", "--count-nonrep", "--max-nodes", "-1"],
         ["enumerate", "4", "--count-nonrep", "--max-seconds", "-1"],
         ["decide", "family:petersen", "--max-nodes", "-1"],
+        ["decide", "family:wheel:7", "--max-seconds", "nan"],
+        ["enumerate", "4", "--count-nonrep", "--max-seconds", "nan"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

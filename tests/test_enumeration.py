@@ -322,6 +322,11 @@ def test_checkpoint_torn_last_line(tmp_path):
     assert ckpt.read_text().splitlines() == rest + [cut, nonrep[0]]
 
 
+def test_census_rejects_a_nan_time_limit():
+    with pytest.raises(ValueError, match="max_seconds must be non-negative, not nan"):
+        census(generate(4), max_seconds=float("nan"))
+
+
 def test_census_budget_abort():
     # co-T2 passes the filter and its search needs 15 nodes; W6 is a
     # comparability graph, settled with no search

@@ -36,7 +36,8 @@ def test_zero_limits_stop_at_the_first_node():
 
 
 def test_negative_limits_are_rejected():
-    for limits in ({"max_nodes": -1}, {"max_seconds": -0.5}):
+    nan = float("nan")  # compares false with 0, so it once passed as no limit at all
+    for limits in ({"max_nodes": -1}, {"max_seconds": -0.5}, {"max_nodes": nan}, {"max_seconds": nan}):
         with pytest.raises(ValueError):
             _Budget(**limits)
         with pytest.raises(ValueError):

@@ -185,6 +185,12 @@ def test_count_fixtures():
 def test_count_ceiling():
     with pytest.raises(CeilingExceeded):
         count_pattern_avoiding_representants(families.complete(9), (1, 3, 2), 12)
+    # n**max_len is at most 1 on K1 and the null graph, yet the walk
+    # recurses once per letter
+    for g in (families.complete(1), Graph(0)):
+        with pytest.raises(CeilingExceeded):
+            count_pattern_avoiding_representants(g, (1, 3, 2), 1000)
+    assert count_pattern_avoiding_representants(families.complete(1), (1, 3, 2), 26) == 26
 
 
 def test_count_rejects_negative_length():

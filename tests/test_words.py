@@ -60,6 +60,15 @@ def test_word_to_graph_gap_rejected():
         word_to_graph(())
 
 
+def test_word_to_graph_gap_message_names_the_first_missing_letters():
+    with pytest.raises(ValueError, match=r"missing \[2\] \(1 in all\)"):
+        word_to_graph((1, 3))
+    # the message once listed all 999,998 missing letters
+    with pytest.raises(ValueError) as err:
+        word_to_graph((1, 10**6))
+    assert str(err.value) == "alphabet has gaps, missing [2, 3, 4, 5, 6, 7] (999998 in all)"
+
+
 def test_word_to_graph_matches_definition(rng):
     for _ in range(100):
         n = rng.randint(1, 5)
