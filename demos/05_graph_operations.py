@@ -51,15 +51,16 @@ swapped = substitute_module(families.prism(3), 1, families.complete(3))
 print("Pr3 with a K3 module: n =", swapped.n, " R =", representation_number(swapped))
 print()
 
-# subdividing edges enough always lands in the 3-representable world; 16
-# vertices is past the orientation search's ceiling, so a 3-coloring oriented
-# by color classes certifies it
+# subdividing edges enough always lands in the 3-representable world; the
+# decision procedure says so, and so does a 3-coloring oriented by color
+# classes, with no orientation search
 g = families.complete(4)
 for u, v in families.complete(4).edges():
     g = subdivide(g, (u, v), 3)
 coloring = three_color(g)
 print("K4, every edge subdivided into 3 parts:", g.n, "vertices,",
-      "representable:", is_semi_transitive(orientation_from_coloring(g, coloring.witness)),
+      "representable:", is_word_representable(g),
+      "3-coloring certificate:", is_semi_transitive(orientation_from_coloring(g, coloring.witness)),
       f"({coloring.nodes_expanded} coloring nodes)")
 print()
 

@@ -103,8 +103,9 @@ _BIT_TABLE = _bit_table(_TABLE_BITS)
 
 def _bits(mask):
     """The positions of the set bits of `mask`, ascending.  Masks of up to
-    12 bits are looked up in a table built at import; wider ones, which only
-    the functions without a ceiling meet, are walked bit by bit."""
+    12 bits are looked up in a table built at import; wider ones, which the
+    graphs past 12 vertices bring to the operations, the decision procedure
+    and the orientation search, are walked bit by bit."""
     if not mask >> _TABLE_BITS:
         return _BIT_TABLE[mask]
     out = []
@@ -201,10 +202,12 @@ def rooted_product(g, h, root):
     """
     if not 1 <= root <= h.n:
         raise ValueError(f"root {root} not a vertex of h")
-    out = g
+    edges, copy = g.edges(), h.edges()
     for i in g.vertices():
-        out = glue_at_vertex(out, h, i, root)
-    return out
+        base = g.n + (i - 1) * (h.n - 1)
+        label = {w: i if w == root else base + w - (w > root) for w in h.vertices()}
+        edges += [(label[a], label[b]) for a, b in copy]
+    return Graph(g.n * h.n, edges)
 
 
 def substitute_module(g, v, m):

@@ -5,11 +5,13 @@ it is acyclic and, for every arc u->v, the sub-orientation induced by u, v and
 all vertices lying on directed u->v paths is transitive; a graph is
 word-representable exactly when it admits such an orientation, so the
 backtracking search here doubles as the representability decision procedure.
-Its forced-arc propagation works on adjacency bitmasks.  It orients its first
-edge one way only: reversing every arc of a semi-transitive orientation gives
-another one (it stays acyclic, and a reversed shortcut is a shortcut), so some
-witness takes that direction.  The unrestricted search tried that direction
-first too, so witnesses are unchanged; only refutations shrink.
+It keeps its own stack, so it takes graphs of any size and stops only at a
+verdict or when its budget runs out.  Its forced-arc propagation works on
+adjacency bitmasks.  It orients its first edge one way only: reversing every
+arc of a semi-transitive orientation gives another one (it stays acyclic, and
+a reversed shortcut is a shortcut), so some witness takes that direction.  The
+unrestricted search tried that direction first too, so witnesses are
+unchanged; only refutations shrink.
 
 Transitive orientations (comparability) and 3-colorings give two cheaper
 certificate routes.  Transitive orientations come from Golumbic's TRO
@@ -39,7 +41,6 @@ from .outcome import (
 )
 from .words import word_to_graph
 
-ORIENTATION_CEILING = 12
 THREE_COLOR_CEILING = 64
 
 
@@ -299,44 +300,64 @@ class _OrientSearch:
         return True
 
     def search(self):
-        """First semi-transitive completion in branch order, else None."""
-        return self._extend(0)
+        """First semi-transitive completion in branch order, else None.
 
-    def _extend(self, depth):
-        self.budget.tick()
-        while depth < len(self.edges):
-            a, b = self.edges[depth]
-            if self.oriented(a, b):
+        A depth-first search over one explicit stack, so its depth is bounded
+        by the budget alone.  Each entry is a branch point whose arc
+        propagated: the edge's index, the trail of that arc, and the arc
+        left to try on the edge (None once both are tried, and at the root
+        edge).  Every node ticks the budget once: the root, and each branch
+        whose arc propagates without contradiction.
+        """
+        edges, succ, pred = self.edges, self.succ, self.pred
+        stack = []
+        depth = 0
+        while True:
+            self.budget.tick()
+            while depth < len(edges):
+                a, b = edges[depth]
+                if not self.oriented(a, b):
+                    break
                 depth += 1
-                continue
-            for first, second in ((a, b),) if depth == 0 else ((a, b), (b, a)):
-                trail = []
-                if self._propagate(first, second, trail):
-                    result = self._extend(depth + 1)
-                    if result is not None:
-                        return result
-                for x, y in reversed(trail):
-                    self.succ[x] &= ~(1 << y)
-                    self.pred[y] &= ~(1 << x)
-            return None
-        order = topological_order(Orientation._from_succ(self.g, self.succ))
-        if order is not None and _shortcut_free(self.succ, order):
-            return list(self.succ)
-        return None
+            if depth < len(edges):
+                arc = edges[depth]
+                rest = (b, a) if depth else None
+            else:
+                order = topological_order(Orientation._from_succ(self.g, succ))
+                if order is not None and _shortcut_free(succ, order):
+                    return list(succ)
+                arc = None
+            while True:  # the next arc that propagates, here or further up
+                if arc is not None:
+                    trail = []
+                    a, b = arc
+                    if self._propagate(a, b, trail):
+                        stack.append((depth, trail, rest))
+                        depth += 1
+                        break
+                    arc, rest = rest, None
+                elif stack:
+                    depth, trail, arc = stack.pop()
+                    rest = None
+                else:
+                    return None
+                for x, y in reversed(trail):  # the arc that failed or is backed out of
+                    succ[x] &= ~(1 << y)
+                    pred[y] &= ~(1 << x)
 
 
 def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     """Search for a semi-transitive orientation of g.
 
-    Returns a witness Orientation or an exhaustive refutation.  A refutation
-    is exhaustive over the orientations with the root edge one way; reversing
-    every arc covers the rest, since the reverse of a semi-transitive
-    orientation is semi-transitive.  A caller that runs
-    several searches under one limit passes its `_Budget` as `budget`, which
-    then replaces `max_nodes` and `max_seconds`.
+    Returns a witness Orientation, an exhaustive refutation, or, once the
+    budget runs out, `budget_exhausted`: the budget is the only limit, as
+    there is no size ceiling.  A refutation is exhaustive over the
+    orientations with the root edge one way; reversing every arc covers the
+    rest, since the reverse of a semi-transitive orientation is
+    semi-transitive.  A caller that runs several searches under one limit
+    passes its `_Budget` as `budget`, which then replaces `max_nodes` and
+    `max_seconds`.
     """
-    if g.n > ORIENTATION_CEILING:
-        raise CeilingExceeded(f"orientation search supports n <= {ORIENTATION_CEILING}")
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
     if budget is None:
@@ -463,9 +484,11 @@ def _decide(g, budget):
     - "filter": some neighborhood (its vertex in `detail["vertex"]`) is not
       a comparability graph, a refutation with no search nodes;
     - "search": the semi-transitive orientation search under `budget`.
+
+    No route has a size ceiling: TRO and the filter are polynomial and
+    decide at any size, and the search stops only at a verdict or when
+    `budget` runs out.
     """
-    if g.n > ORIENTATION_CEILING:
-        raise CeilingExceeded(f"decision supports n <= {ORIENTATION_CEILING}")
     tro = find_transitive(g)
     if tro.found:
         return replace(tro, detail={"route": "comparability"})

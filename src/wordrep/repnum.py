@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .graphs import CANONICAL_CEILING, CeilingExceeded, automorphisms, max_clique_size, _bits
-from .orientation import ORIENTATION_CEILING, _comparability, _decide
+from .orientation import _comparability, _decide
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -45,6 +45,7 @@ from .outcome import (
 from .words import as_pattern, contains_pattern, word_to_graph
 
 LENGTH_CEILING = 36
+PERMUTATION_CEILING = 12
 AUTOMORPHISM_CAP = 2048
 
 
@@ -112,7 +113,10 @@ class _PairState:
         """Depth-first search from the current word for one on which `done()`
         holds: True leaves that word in place, False the word as it was.
 
-        Each call ticks `budget` once and then tries, in increasing order,
+        The search keeps its own stack, so its depth is bounded by the
+        budget and the caps alone: each entry holds a placed letter, the
+        moves left at the node it was placed from, and its undo record.
+        Each node ticks `budget` once and then tries, in increasing order,
         each move outside the mask `bar(self)`, which may read any of the
         state.  A search may bar only letters whose subtrees hold no word it
         wants.
@@ -131,21 +135,28 @@ class _PairState:
         stop short of its caps never needs it: a letter can simply get no
         more copies.
         """
-        budget.tick()
-        if done():
-            return True
-        barred = bar(self)
-        adj, nonadj, before, broken, low = self.adj, self.nonadj, self.before, self.broken, self.low
-        for x, r in enumerate(self.rem):  # each child puts rem back as it found it
-            if not r or adj[x] & before[x] or barred >> x & 1:
-                continue
-            if r == 1 and nonadj[x] & low & ~(broken[x] | before[x]):
-                continue
-            undo = self.place(x)
-            if self.walk(budget, bar, done):
+        adj, nonadj = self.adj, self.nonadj
+        stack = []
+        while True:
+            budget.tick()
+            if done():
                 return True
-            self.unplace(x, undo)
-        return False
+            barred = bar(self)
+            before, broken, low = self.before, self.broken, self.low
+            moves = 0
+            for x, r in enumerate(self.rem):
+                if not r or adj[x] & before[x] or barred >> x & 1:
+                    continue
+                if r == 1 and nonadj[x] & low & ~(broken[x] | before[x]):
+                    continue
+                moves |= 1 << x
+            while not moves:
+                if not stack:
+                    return False
+                x, moves, undo = stack.pop()
+                self.unplace(x, undo)
+            x = (moves & -moves).bit_length() - 1
+            stack.append((x, moves & moves - 1, self.place(x)))
 
 
 def _symmetry_bar(g):
@@ -220,7 +231,8 @@ def find_k_uniform_word(
 
 def representation_number(g, max_nodes=None, max_seconds=None):
     """Least k such that g has a k-uniform representant; math.inf when the
-    orientation search refutes representability outright.
+    decision procedure (the neighbourhood filter or the orientation search)
+    refutes representability outright.
 
     Every non-complete representable graph is 2(n - clique number)-uniform
     representable, so the loop is capped by that bound.  `max_nodes` and
@@ -236,11 +248,17 @@ def _representation(g, budget):
     if not _decide(g, budget).require_conclusive().found:
         return math.inf, None
     bar = _symmetry_bar(g)
-    bound = max(1, 2 * (g.n - max_clique_size(g)))
-    for k in range(1, bound + 1):
+    k = bound = 1
+    while k <= bound:
         outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
         if outcome.found:
             return k, outcome.witness
+        # read the bound only once k = 1 is refuted: the search at k = 1
+        # refuses a word past LENGTH_CEILING before `max_clique_size`, which
+        # recurses once per clique vertex, sees too big a graph
+        if k == 1:
+            bound = 2 * (g.n - max_clique_size(g))
+        k += 1
     raise AssertionError(
         "representable graph had no witness within the uniform bound"
     )
@@ -356,7 +374,7 @@ def count_pattern_avoiding_representants(g, t, max_len):
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
-    if max(g.n, 2) ** max_len > 10**8:  # K1 and the null graph still recurse once per letter
+    if max(g.n, 2) ** max_len > 10**8:  # on K1 the walk still takes a node per letter
         raise CeilingExceeded("alphabet**length too large for exhaustive count")
     state = _PairState(g, [max_len] * g.n)
     count = 0
@@ -395,8 +413,8 @@ def permutational_representation_number(g, max_p=3):
     """
     if max_p < 1:
         raise ValueError("max_p must be at least 1")
-    if g.n > ORIENTATION_CEILING:
-        raise CeilingExceeded(f"permutation search supports n <= {ORIENTATION_CEILING}")
+    if g.n > PERMUTATION_CEILING:
+        raise CeilingExceeded(f"permutation search supports n <= {PERMUTATION_CEILING}")
     n = g.n
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})

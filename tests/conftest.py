@@ -7,14 +7,32 @@ corpora and automorphism groups.  Tests compare the library against these,
 never against itself.
 """
 
+import contextlib
 import itertools
 import random
+import sys
 
 import pytest
 
 from wordrep import families
 from wordrep.enumeration import generate
 from wordrep.graphs import Graph
+
+
+@contextlib.contextmanager
+def shallow_stack(extra=50):
+    """Run the block with the recursion limit at the current stack depth
+    plus `extra`, so that a search that recurses once per node fails with
+    RecursionError after a few dozen nodes instead of passing."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + extra)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def brute_force_isomorphic(g, h):

@@ -273,6 +273,24 @@ def test_pattern_count_on_k1_past_the_ceiling_exits_2(capsys):
     assert json.loads(text)["error"] == "alphabet**length too large for exhaustive count"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decide", "family:cycle:1501"], 0),
+        (["orient", "family:wheel:13"], 1),
+        (["repnum", "family:complete:1000"], 2),
+    ],
+)
+def test_graphs_past_twelve_vertices(argv, code):
+    got, text = _main_quietly(argv)
+    assert got == code and "Traceback" not in text, text
+    payload = json.loads(text)
+    if argv[0] == "orient":
+        assert payload["stats"]["nodes_expanded"] == 1036
+    if argv[0] == "repnum":
+        assert payload["error"] == "word length 1000 exceeds ceiling 36"
+
+
 def test_word_with_a_wide_gap_exits_2(capsys):
     assert main(["word-graph", "1,1000000"]) == 2
     captured = capsys.readouterr()

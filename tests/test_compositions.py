@@ -146,6 +146,11 @@ def test_rooted_product_matches_direct_construction():
             _same(rooted_product, ref_rooted_product, g, h, root)
 
 
+def test_rooted_product_of_a_long_path():
+    g, h = families.path(200), families.path(4)
+    assert rooted_product(g, h, 1) == ref_rooted_product(g, h, 1)
+
+
 def test_substitute_module_matches_direct_construction():
     for g, m in itertools.product(CORPUS, repeat=2):
         for v in range(0, g.n + 2):

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atlas_graphs, words_over
+from conftest import atlas_graphs, shallow_stack, words_over
 from wordrep import families, orientation
 from wordrep.graphs import (
-    CeilingExceeded,
     Graph,
     _bits,
     add_apex,
@@ -18,6 +17,7 @@ from wordrep.graphs import (
     induced_subgraph,
     is_connected,
     line_graph,
+    subdivide,
 )
 from wordrep.orientation import (
     Orientation,
@@ -140,8 +140,8 @@ def test_find_semi_transitive_witness_verified():
 
 
 def test_find_semi_transitive_ceiling_and_budget():
-    with pytest.raises(CeilingExceeded):
-        find_semi_transitive(families.crown(7))
+    out = find_semi_transitive(families.crown(7))
+    assert out.found and is_semi_transitive(out.witness)
     out = find_semi_transitive(families.wheel(7), max_nodes=5)
     assert out.status == "budget_exhausted"
     with pytest.raises(BudgetExhausted):
@@ -213,8 +213,7 @@ def test_decide_is_the_filter_then_the_search():
             search.nodes_expanded,
         ), g
     assert _decide(families.petersen(), _Budget(max_nodes=1)).status == "budget_exhausted"
-    with pytest.raises(CeilingExceeded):
-        _decide(families.empty(13), _Budget())
+    assert _decide(families.empty(13), _Budget()).detail == {"route": "comparability"}
 
 
 def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
@@ -289,16 +288,61 @@ def test_decide_routes_agree_with_the_search():
 
 
 def test_comparability_has_no_ceiling():
-    # TRO is polynomial: past the orientation search's 12 vertices it still
-    # settles a 13-vertex neighbourhood and the 14-vertex crown
+    # TRO is polynomial: it settles a 13-vertex neighbourhood and the
+    # 14-vertex crown
     assert neighborhood_filter(families.star(13)) is None
     crown = families.crown(7)
     assert crown.n == 14
     out = find_transitive(crown)
     assert out.found and is_transitive(out.witness)
     assert is_permutationally_representable(crown)
-    with pytest.raises(CeilingExceeded):
-        is_word_representable(families.star(13))
+    assert is_word_representable(families.star(13))
+
+
+def _from_networkx(h):
+    """A networkx graph labelled 1..n in its node order."""
+    index = {v: i + 1 for i, v in enumerate(h.nodes())}
+    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def test_decide_past_twelve_vertices():
+    # no size ceiling: TRO and the filter settle these at any size, and the
+    # search runs until it reaches a verdict or the budget runs out
+    import networkx as nx
+
+    k5_subdivided = families.complete(5)
+    for u, v in families.complete(5).edges():
+        k5_subdivided = subdivide(k5_subdivided, (u, v), 3)
+    cases = [
+        (families.crown(8), "comparability", True, None),
+        (_from_networkx(nx.heawood_graph()), "comparability", True, None),
+        (_from_networkx(nx.hypercube_graph(4)), "comparability", True, None),
+        (_from_networkx(nx.grid_2d_graph(5, 5)), "comparability", True, None),
+        (families.wheel(13), "filter", False, 0),
+        (_from_networkx(nx.paley_graph(17).to_undirected()), "filter", False, 0),
+        (families.cycle(1501), "search", True, 1503),
+        (families.prism(401), "search", True, 811),
+        (_from_networkx(nx.mycielski_graph(5)), "search", False, 254),
+        (_from_networkx(nx.tutte_graph()), "search", True, 47405),
+        (k5_subdivided, "search", True, 31),
+    ]
+    for g, route, found, nodes in cases:
+        assert g.n > 12
+        out = _decide(g, _Budget())
+        assert (out.detail["route"], out.found) == (route, found), g
+        if nodes is not None:
+            assert out.nodes_expanded == nodes, g
+        if found:
+            assert is_semi_transitive(out.witness), g
+    assert find_semi_transitive(families.wheel(13)).nodes_expanded == 1036
+
+
+def test_orientation_search_keeps_no_stack_per_edge():
+    # 101 edges deep: a search that recursed once per branch point would
+    # run out of a stack of 50 frames
+    with shallow_stack():
+        out = find_semi_transitive(families.cycle(101))
+    assert out.found and is_semi_transitive(out.witness)
 
 
 def test_permutation_order_is_checked(monkeypatch):
@@ -454,7 +498,8 @@ def test_triple_subdivision_of_k5_is_representable():
     for u, v in families.complete(5).edges():
         g = subdivide(g, (u, v), 3)
     assert g.n == 5 + 2 * 10
-    # 25 vertices is past the search ceiling; certify through a 3-coloring
+    # a 3-coloring certifies it without the orientation search, which finds
+    # a witness too (test_decide_past_twelve_vertices)
     coloring = three_color(g)
     assert coloring.found
     assert is_semi_transitive(orientation_from_coloring(g, coloring.witness))
@@ -602,7 +647,7 @@ def reference_trans_search(g):
 
 
 class _ReferenceOrientSearch(_OrientSearch):
-    # inherits `_extend`, root-edge pruning included, so it checks the
+    # inherits `search`, root-edge pruning included, so it checks the
     # propagation only and is no unpruned oracle (`_UnprunedOrientSearch` is)
 
     def _reaches(self, src, dst):
@@ -740,6 +785,8 @@ def test_semi_transitive_search_matches_reference_propagation():
 
 class _UnprunedOrientSearch(_OrientSearch):
     """The search branching both ways on every edge, the root edge too."""
+
+    search = lambda self: self._extend(0)
 
     def _extend(self, depth):
         self.budget.tick()

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_labeled_graphs, atlas_graphs, relabel
+from conftest import all_labeled_graphs, atlas_graphs, relabel, shallow_stack
 from wordrep import families
 from wordrep.enumeration import generate
 from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms, complement
@@ -63,6 +63,24 @@ def test_uniform_search_ceiling():
         find_k_uniform_word(families.petersen(), 4)
     with pytest.raises(ValueError):
         find_k_uniform_word(families.complete(2), 0)
+
+
+def test_representation_number_past_twelve_vertices():
+    # the search at k = 1 refuses the 1,000-letter word before the clique
+    # bound, whose branch and bound recurses once per clique vertex, is read
+    with pytest.raises(CeilingExceeded, match="word length 1000 exceeds ceiling 36"):
+        representation_number(families.complete(1000))
+    assert representation_number(families.wheel(13)) == math.inf  # by the filter
+
+
+def test_pattern_search_keeps_no_stack_per_letter():
+    # the witness has 79 letters: a walk that recursed once per letter
+    # would run out of a stack of 50 frames
+    with shallow_stack():
+        out = find_pattern_avoiding_word(families.empty(40), (1, 3, 2))
+    assert out.found and len(out.witness) == 79
+    assert word_to_graph(out.witness) == families.empty(40)
+    assert avoids_pattern(out.witness, (1, 3, 2))
 
 
 def test_uniform_search_past_the_automorphism_ceiling():
@@ -185,8 +203,8 @@ def test_count_fixtures():
 def test_count_ceiling():
     with pytest.raises(CeilingExceeded):
         count_pattern_avoiding_representants(families.complete(9), (1, 3, 2), 12)
-    # n**max_len is at most 1 on K1 and the null graph, yet the walk
-    # recurses once per letter
+    # n**max_len is at most 1 on K1 and the null graph, yet on K1 the
+    # walk takes a node per letter
     for g in (families.complete(1), Graph(0)):
         with pytest.raises(CeilingExceeded):
             count_pattern_avoiding_representants(g, (1, 3, 2), 1000)
