@@ -25,10 +25,13 @@ class Graph:
     `_key` holds the graph's canonical form once `canonical_form` has
     computed it, and None until then.  `canonical_form` also sets `_last`,
     the mask of the vertices that can be placed last in canonical order,
-    which is unset before.  Equality and hashing ignore both.
+    which is unset before.  `_orient` holds the conclusive outcome of
+    `find_semi_transitive` on this object, a witness or a refutation, once
+    that search has reached one, and None until then; a repeat call returns
+    it and reports 0 nodes.  Equality and hashing ignore all three.
     """
 
-    __slots__ = ("n", "adj", "_key", "_last")
+    __slots__ = ("n", "adj", "_key", "_last", "_orient")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -45,6 +48,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)  # 0-indexed neighbor bitmasks
         self._key = None
+        self._orient = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -130,6 +134,7 @@ def _from_masks(n, masks):
     g.n = n
     g.adj = tuple(masks)
     g._key = None
+    g._orient = None
     return g
 
 
@@ -308,27 +313,30 @@ def connected_components(g):
 
 
 def max_clique_size(g):
-    """Exact clique number by branch and bound on bitmasks."""
+    """Exact clique number by branch and bound on bitmasks.
+
+    A depth-first search over one explicit stack, so the recursion limit
+    does not bound the clique.  Each entry is a node: the candidates that
+    extend the clique, its size, and the position in `order` from which
+    the next branch vertex is sought.  A node branches on its first
+    candidate v and pushes, beneath the child that takes v, itself without
+    v, so branches are taken in `order`.
+    """
     best = 0
     order = sorted(range(g.n), key=lambda v: g.adj[v].bit_count())
-
-    def expand(cand, size):
-        nonlocal best
+    stack = [((1 << g.n) - 1, 0, 0)]
+    while stack:
+        cand, size, i = stack.pop()
         if size + cand.bit_count() <= best:
-            return
+            continue
         if not cand:
-            best = max(best, size)
-            return
-        for v in order:
-            bit = 1 << v
-            if not cand & bit:
-                continue
-            expand(cand & g.adj[v], size + 1)
-            cand &= ~bit
-            if size + cand.bit_count() <= best:
-                return
-
-    expand((1 << g.n) - 1, 0)
+            best = size
+            continue
+        while not cand >> order[i] & 1:
+            i += 1
+        v = order[i]
+        stack.append((cand & ~(1 << v), size, i + 1))
+        stack.append((cand & g.adj[v], size + 1, 0))
     return best
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from .graphs import CeilingExceeded, _bits
+from .graphs import _bits
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -40,8 +40,6 @@ from .outcome import (
     run_search,
 )
 from .words import word_to_graph
-
-THREE_COLOR_CEILING = 64
 
 
 class Orientation:
@@ -357,21 +355,32 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     semi-transitive.  A caller that runs several searches under one limit
     passes its `_Budget` as `budget`, which then replaces `max_nodes` and
     `max_seconds`.
+
+    The graph keeps a witness or a refutation in `g._orient`, so deciding
+    and then orienting the same object searches once.  A repeat call
+    returns the kept outcome with `nodes_expanded=0` and `elapsed=0.0`, as
+    it spends no budget.  A `budget_exhausted` outcome is not kept, so a
+    later call with a larger budget searches again.
     """
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
+    if g._orient is not None:
+        return replace(g._orient, nodes_expanded=0, elapsed=0.0)
 
     def kernel():
         succ = _OrientSearch(g, budget).search()
         return None if succ is None else Orientation._from_succ(g, succ)
 
-    return run_search(
+    out = run_search(
         kernel,
         budget,
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
     )
+    if out.conclusive:
+        g._orient = out
+    return out
 
 
 # -- transitive orientations (comparability) ----------------------------------
@@ -512,31 +521,43 @@ def three_color(g, max_nodes=None, max_seconds=None):
     """Proper 3-coloring by backtracking (colors 1..3), or refutation.
 
     Vertices are colored in descending degree order; the first vertex is
-    pinned to color 1 and the second color is introduced only once.
+    pinned to color 1 and the second color is introduced only once.  The
+    search keeps its own stack of palettes, so the budget is its only
+    limit.  Each node ticks the budget once: the empty coloring, and each
+    vertex given a color.
     """
-    if g.n > THREE_COLOR_CEILING:
-        raise CeilingExceeded(f"3-coloring supports n <= {THREE_COLOR_CEILING}")
     budget = _Budget(max_nodes, max_seconds)
     order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
     color = [0] * g.n  # 0 = uncolored
 
-    def assign(i, palette):
+    def kernel():
+        palettes = []  # the palette before each colored position
+        i = palette = c = 0  # c: the last color tried at position i
         budget.tick()
-        if i == g.n:
-            return True
-        v = order[i]
-        limit = min(3, palette + 1)
-        for c in range(1, limit + 1):
-            if any(color[u] == c for u in _bits(g.adj[v])):
-                continue
-            color[v] = c
-            if assign(i + 1, max(palette, c)):
-                return True
-            color[v] = 0
-        return False
+        while i < g.n:
+            v = order[i]
+            taken = 0
+            for u in _bits(g.adj[v]):
+                taken |= 1 << color[u]
+            limit = min(3, palette + 1)
+            c += 1
+            while c <= limit and taken >> c & 1:
+                c += 1
+            if c <= limit:
+                color[v] = c
+                palettes.append(palette)
+                i, palette, c = i + 1, max(palette, c), 0
+                budget.tick()
+            elif palettes:  # back up to the last colored position
+                i -= 1
+                palette = palettes.pop()
+                c, color[order[i]] = color[order[i]], 0
+            else:
+                return None
+        return tuple(color)
 
     return run_search(
-        lambda: tuple(color) if assign(0, 0) else None,
+        kernel,
         budget,
         lambda c: all(c[u - 1] != c[v - 1] for u, v in g.edges()),
     )

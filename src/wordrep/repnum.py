@@ -253,9 +253,10 @@ def _representation(g, budget):
         outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
         if outcome.found:
             return k, outcome.witness
-        # read the bound only once k = 1 is refuted: the search at k = 1
-        # refuses a word past LENGTH_CEILING before `max_clique_size`, which
-        # recurses once per clique vertex, sees too big a graph
+        # read the bound only once k = 1 is refuted: complete graphs, the
+        # only 1-uniform ones, then skip the clique search, exponential in
+        # the worst case, and a graph past LENGTH_CEILING is refused by the
+        # search at k = 1 before it starts
         if k == 1:
             bound = 2 * (g.n - max_clique_size(g))
         k += 1

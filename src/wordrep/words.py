@@ -142,13 +142,17 @@ def contains_pattern(w, pattern):
     """True iff some subsequence of w is order-isomorphic to the pattern.
 
     Order-isomorphic means the matched letters compare exactly as the
-    pattern letters do, including equalities.
+    pattern letters do, including equalities.  A pattern of length 3 takes
+    one pass over the word; a longer one tries subsequences by recursion,
+    one frame per pattern letter.
     """
     w = tuple(w)
     t = as_pattern(pattern)
     m = len(t)
     if m > len(w):
         return False
+    if m == 3:
+        return _contains_three(w, t)
 
     def match(ti, start, chosen):
         if ti == m:
@@ -170,6 +174,50 @@ def contains_pattern(w, pattern):
         return False
 
     return match(0, 0, [])
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def _contains_three(w, t):
+    """`contains_pattern` for a pattern t = (a, b, c) of length 3, in one
+    pass over the middle letter of an occurrence.
+
+    With letters replaced by their ranks, `prefix` and `suffix` are the
+    masks of the letters before and after the current letter y.  An
+    occurrence with y in the middle needs some x of the prefix and z of the
+    suffix that compare with y as a and c compare with b, and with each
+    other as a with c: a common letter when a = c, else the least x below
+    the greatest z when a < c, or the greatest x above the least z when
+    a > c.
+    """
+    a, b, c = t
+    left, right, ends = _sign(a, b), _sign(c, b), _sign(a, c)
+    rank = {x: r for r, x in enumerate(sorted(set(w)))}
+    w = [rank[x] for x in w]
+    count = [0] * len(rank)
+    for y in w:
+        count[y] += 1
+    prefix, suffix = 0, (1 << len(rank)) - 1
+    for y in w:
+        count[y] -= 1
+        if not count[y]:
+            suffix &= ~(1 << y)
+        below, at = (1 << y) - 1, 1 << y
+        sides = (at, ~(below | at), below)  # indexed by sign: equal, above, below
+        xs, zs = prefix & sides[left], suffix & sides[right]
+        if xs and zs:
+            if ends == 0:
+                if xs & zs:
+                    return True
+            elif ends < 0:
+                if (xs & -xs).bit_length() < zs.bit_length():
+                    return True
+            elif xs.bit_length() > (zs & -zs).bit_length():
+                return True
+        prefix |= at
+    return False
 
 
 def avoids_pattern(w, pattern):

@@ -10,6 +10,7 @@ from conftest import (
     brute_force_isomorphic,
     networkx_automorphisms,
     relabel,
+    shallow_stack,
 )
 from wordrep import families, graphs
 from wordrep.enumeration import _augmentations, generate
@@ -189,6 +190,22 @@ def test_max_clique_size():
     assert max_clique_size(families.prism(3)) == 3
     assert max_clique_size(families.empty(4)) == 1
     assert max_clique_size(families.wheel(5)) == 3
+
+
+def test_max_clique_size_matches_networkx():
+    import networkx as nx
+
+    for g in atlas_graphs():
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from(g.edges())
+        assert max_clique_size(g) == max((len(c) for c in nx.find_cliques(h)), default=0), g
+
+
+def test_max_clique_size_keeps_its_own_stack():
+    # one branch per clique vertex: a recursion would need 1000 frames
+    with shallow_stack():
+        assert max_clique_size(families.complete(1000)) == 1000
 
 
 def test_contains_induced():

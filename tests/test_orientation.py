@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atlas_graphs, shallow_stack, words_over
+from conftest import atlas_graphs, fresh, shallow_stack, words_over
 from wordrep import families, orientation
 from wordrep.graphs import (
     Graph,
@@ -206,7 +206,9 @@ def test_decide_is_the_filter_then_the_search():
         families.max_degree_four_counterexample(),
     ):
         assert neighborhood_filter(g) is None
-        out, search = _decide(g, _Budget()), find_semi_transitive(g)
+        # `_decide` keeps its search on g, so the reference searches an
+        # equal, fresh graph
+        out, search = _decide(g, _Budget()), find_semi_transitive(fresh(g))
         assert (out.status, out.witness, out.nodes_expanded) == (
             search.status,
             search.witness,
@@ -239,6 +241,65 @@ def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     out = _decide(families.prism(3), _Budget())
     assert out.found and out.detail == {"route": "search"}
     assert searched == [families.prism(3)]
+
+
+# -- a graph keeps its orientation search ----------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The graphs that `find_semi_transitive` builds an `_OrientSearch` for."""
+    built = []
+
+    class Counted(_OrientSearch):
+        def __init__(self, g, budget):
+            built.append(g)
+            super().__init__(g, budget)
+
+    monkeypatch.setattr(orientation, "_OrientSearch", Counted)
+    return built
+
+
+def test_a_repeat_search_builds_no_search(searches):
+    for g, status in ((families.petersen(), "witness"), (families.wheel(7), "refuted")):
+        first = find_semi_transitive(g)
+        assert first.status == status and first.nodes_expanded > 0
+        assert g._orient is first
+        again = find_semi_transitive(g, max_nodes=0)  # spends nothing, so nothing runs out
+        assert (again.status, again.nodes_expanded, again.elapsed) == (status, 0, 0.0)
+        assert again.witness is first.witness and again.detail == first.detail
+        assert searches == [g]
+        searches.clear()
+
+
+def test_deciding_then_orienting_searches_once(searches):
+    g = families.prism(3)
+    decided = _decide(g, _Budget())
+    assert decided.detail == {"route": "search"} and decided.nodes_expanded > 0
+    out = find_semi_transitive(g)
+    assert out.found and out.nodes_expanded == 0 and out.witness is decided.witness
+    assert searches == [g]
+
+
+def test_a_budget_exhausted_search_is_not_kept(searches):
+    g = families.petersen()
+    assert find_semi_transitive(g, max_nodes=1).status == "budget_exhausted"
+    assert g._orient is None
+    out = find_semi_transitive(g)
+    assert out.found and out.nodes_expanded > 1 and g._orient is out
+    assert [id(x) for x in searches] == [id(g), id(g)]
+
+
+def test_an_equal_fresh_graph_searches_again(searches):
+    for g in (families.petersen(), families.co_t2()):
+        first = find_semi_transitive(g)
+        h = fresh(g)
+        assert h == g and hash(h) == hash(g) and h._orient is None
+        again = find_semi_transitive(h)
+        assert (again.status, again.nodes_expanded) == (first.status, first.nodes_expanded)
+        assert again.witness == first.witness and h._orient is again
+        assert [id(x) for x in searches] == [id(g), id(h)]
+        searches.clear()
 
 
 def test_neighborhood_filter():
@@ -375,6 +436,57 @@ def test_three_color():
     assert three_color(families.crown(5)).found
     out = three_color(families.cycle(6))
     assert out.found and len(set(out.witness)) <= 2
+
+
+def reference_three_color(g, max_nodes=None, max_seconds=None):
+    """`three_color` as it was when it recursed once per vertex, verbatim
+    apart from its name and its 64-vertex ceiling, which went with it."""
+    budget = _Budget(max_nodes, max_seconds)
+    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
+    color = [0] * g.n  # 0 = uncolored
+
+    def assign(i, palette):
+        budget.tick()
+        if i == g.n:
+            return True
+        v = order[i]
+        limit = min(3, palette + 1)
+        for c in range(1, limit + 1):
+            if any(color[u] == c for u in _bits(g.adj[v])):
+                continue
+            color[v] = c
+            if assign(i + 1, max(palette, c)):
+                return True
+            color[v] = 0
+        return False
+
+    return orientation.run_search(
+        lambda: tuple(color) if assign(0, 0) else None,
+        budget,
+        lambda c: all(c[u - 1] != c[v - 1] for u, v in g.edges()),
+    )
+
+
+def test_three_color_matches_the_recursive_search():
+    statuses = set()
+    for g in atlas_graphs():
+        for max_nodes in (None, 5):
+            out, ref = three_color(g, max_nodes), reference_three_color(g, max_nodes)
+            assert (out.status, out.witness, out.nodes_expanded) == (
+                ref.status,
+                ref.witness,
+                ref.nodes_expanded,
+            ), (g, max_nodes)
+            statuses.add(out.status)
+    assert statuses == {"witness", "refuted", "budget_exhausted"}
+
+
+def test_three_color_keeps_its_own_stack():
+    # one node per vertex: a recursion would need 101 frames
+    with shallow_stack():
+        out = three_color(families.cycle(101))
+    assert out.found and out.nodes_expanded == 102
+    assert sorted(set(out.witness)) == [1, 2, 3]
 
 
 def test_orientation_from_coloring():

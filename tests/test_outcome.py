@@ -90,3 +90,60 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Every function in the library that calls itself, with what bounds its
+# depth.  The searches that a budget bounds keep their own stacks instead.
+RECURSIVE = {
+    "graphs.contains_induced.place",  # one frame per vertex of the pattern graph h
+    "graphs.automorphisms.place",  # one frame per vertex, at most CANONICAL_CEILING
+    # one frame per critical pair reversed, at most n(n - 1) for n <= PERMUTATION_CEILING
+    "repnum.permutational_representation_number.realize",
+    "words.contains_pattern.match",  # one frame per pattern letter, patterns of length 4 or more
+}
+
+
+def _self_calls(tree, module):
+    """Qualified names of the functions in `tree` whose bodies call them by
+    name, or as `self.name` / `cls.name` in a class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, inner = child.name, scope + [child.name]
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if (isinstance(f, ast.Name) and f.id == name) or (
+                        isinstance(f, ast.Attribute)
+                        and f.attr == name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in ("self", "cls")
+                    ):
+                        found.append(".".join([module] + inner))
+                        break
+                visit(child, inner)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_the_library_recurses_only_where_pinned():
+    src = Path(__file__).resolve().parent.parent / "src" / "wordrep"
+    found = {
+        name
+        for path in sorted(src.glob("*.py"))
+        for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)
+    }
+    new, gone = sorted(found - RECURSIVE), sorted(RECURSIVE - found)
+    assert not new, f"new recursion, bound its depth here or keep a stack: {new}"
+    assert not gone, f"no longer recursive, unpin: {gone}"
+    # the scan sees a recursion: a function and a method that call themselves
+    probe = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    def g(self):\n        self.g()\n")
+    assert _self_calls(probe, "m") == ["m.f", "m.C.g"]

@@ -8,6 +8,7 @@ from wordrep import families
 from wordrep.graphs import Graph, delete_vertex
 from wordrep.words import (
     alternates,
+    as_pattern,
     avoids_pattern,
     contains_pattern,
     cyclic_shift,
@@ -219,3 +220,66 @@ def test_contains_pattern_brute_force(rng):
             for sub in itertools.combinations(w, 3)
         )
         assert contains_pattern(w, t) == expect
+
+
+def reference_contains_pattern(w, pattern):
+    """`contains_pattern` as it was before length-3 patterns got their own
+    pass: every subsequence of length |pattern|, by recursion."""
+    w = tuple(w)
+    t = as_pattern(pattern)
+    m = len(t)
+    if m > len(w):
+        return False
+
+    def match(ti, start, chosen):
+        if ti == m:
+            return True
+        for i in range(start, len(w) - (m - ti) + 1):
+            c = w[i]
+            ok = True
+            for tj in range(ti):
+                a, b = t[tj], t[ti]
+                x = chosen[tj]
+                if (a < b) != (x < c) or (a == b) != (x == c):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(c)
+                if match(ti + 1, i + 1, chosen):
+                    return True
+                chosen.pop()
+        return False
+
+    return match(0, 0, [])
+
+
+LENGTH_THREE_PATTERNS = [
+    t for t in itertools.product((1, 2, 3), repeat=3) if set(t) == set(range(1, max(t) + 1))
+]
+
+
+def test_length_three_patterns_match_the_subsequence_search():
+    import random
+
+    assert len(LENGTH_THREE_PATTERNS) == 13
+    words = [w for a in range(1, 5) for w in words_over(a, 7)]
+    rng = random.Random(31)
+    for _ in range(2000):
+        # letters with gaps and large values, as any positive integers may be
+        letters = rng.sample(range(1, 1000), rng.randint(1, 9))
+        words.append(tuple(rng.choice(letters) for _ in range(rng.randint(0, 30))))
+    found = 0
+    for w in words:
+        for t in LENGTH_THREE_PATTERNS:
+            expect = reference_contains_pattern(w, t)
+            assert contains_pattern(w, t) == expect, (w, t)
+            found += expect
+    assert 0 < found < len(words) * len(LENGTH_THREE_PATTERNS)
+
+
+def test_length_three_check_is_linear_on_long_words():
+    # 132 and 123 avoiding words of 1,999 letters: the subsequence search
+    # took seconds on words a tenth as long
+    w = tuple(x for v in range(1, 1001) for x in (v, v))[1:]
+    assert avoids_pattern(w, (1, 3, 2)) and avoids_pattern(w[::-1], (1, 2, 3))
+    assert contains_pattern(w + (2,), (1, 3, 2))
