@@ -25,13 +25,10 @@ class Graph:
     `_key` holds the graph's canonical form once `canonical_form` has
     computed it, and None until then.  `canonical_form` also sets `_last`,
     the mask of the vertices that can be placed last in canonical order,
-    which is unset before.  `_orient` holds the conclusive outcome of
-    `find_semi_transitive` on this object, a witness or a refutation, once
-    that search has reached one, and None until then; a repeat call returns
-    it and reports 0 nodes.  Equality and hashing ignore all three.
+    which is unset before.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "adj", "_key", "_last", "_orient")
+    __slots__ = ("n", "adj", "_key", "_last")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -48,7 +45,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)  # 0-indexed neighbor bitmasks
         self._key = None
-        self._orient = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -134,7 +130,6 @@ def _from_masks(n, masks):
     g.n = n
     g.adj = tuple(masks)
     g._key = None
-    g._orient = None
     return g
 
 

@@ -8,7 +8,11 @@ external generators be ingested for cross-validation.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _bits, _from_masks
+
+# each 6-bit group with its bits in reverse order, so that a group's first
+# bit lands lowest
+_REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def to_graph6(g):
@@ -42,20 +46,19 @@ def from_graph6(text):
     body = text[1:]
     if len(body) != need:
         raise ValueError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")
-    bits = []
-    for ch in body:
+    bits = 0  # bit k is the k-th bit of the body
+    for pos, ch in enumerate(body):
         value = ord(ch) - 63
         if not 0 <= value < 64:
             raise ValueError(f"invalid graph6 byte {ch!r}")
-        bits.extend(value >> (5 - i) & 1 for i in range(6))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i + 1, j + 1))
-            idx += 1
-    return Graph(n, edges)
+        bits |= _REVERSED[value] << 6 * pos
+    adj = [0] * n
+    for j in range(1, n):  # column j starts at bit j(j - 1)/2
+        lower = bits >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        adj[j] = lower
+        for i in _bits(lower):
+            adj[i] |= 1 << j
+    return _from_masks(n, adj)
 
 
 def read_graph6_file(path):

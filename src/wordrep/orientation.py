@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from operator import xor
 
 from .graphs import _bits
 from .outcome import (
@@ -116,11 +117,12 @@ def _orients_each_edge_once(adj, succ):
     for u, s in enumerate(succ):
         if s & ~adj[u]:
             return False
+        bit = 1 << u
         for v in _bits(s):
-            pred[v] |= 1 << u
+            pred[v] |= bit
     # given the arcs lie on edges, an edge oriented twice or not at all
     # leaves its bit out of succ ^ pred
-    return all(s ^ p == a for s, p, a in zip(succ, pred, adj))
+    return tuple(map(xor, succ, pred)) == tuple(adj)
 
 
 def is_transitive(o):
@@ -129,7 +131,13 @@ def is_transitive(o):
 
 
 def _transitive(succ):
-    return not any(succ[v] & ~su for su in succ for v in _bits(su))
+    for su in succ:
+        reach = 0
+        for v in _bits(su):
+            reach |= succ[v]
+        if reach & ~su:
+            return False
+    return True
 
 
 def _closures(succ, order):
@@ -227,14 +235,14 @@ class _OrientSearch:
         self.pred = [0] * g.n
         self.budget = budget
         deg = [a.bit_count() for a in self.adj]
-        # branch on edges with high-degree endpoints first
-        self.edges = sorted(
-            ((u - 1, v - 1) for u, v in g.edges()),
-            key=lambda e: -min(deg[e[0]], deg[e[1]]),
-        )
-
-    def oriented(self, a, b):
-        return (self.succ[a] >> b | self.succ[b] >> a) & 1
+        # branch on edges with high-degree endpoints first: the edges are
+        # bucketed by the lower degree of their ends, and each bucket keeps
+        # lexicographic order
+        buckets = [[] for _ in range(g.n)]
+        for u, a in enumerate(self.adj):
+            for v in _bits(a >> u + 1 << u + 1):
+                buckets[min(deg[u], deg[v])].append((u, v))
+        self.edges = [e for bucket in reversed(buckets) for e in bucket]
 
     def _propagate(self, a, b, trail):
         """Add arc a->b and every arc it forces, recording them on trail;
@@ -314,7 +322,7 @@ class _OrientSearch:
             self.budget.tick()
             while depth < len(edges):
                 a, b = edges[depth]
-                if not self.oriented(a, b):
+                if not (succ[a] >> b | succ[b] >> a) & 1:  # a-b is unoriented
                     break
                 depth += 1
             if depth < len(edges):
@@ -355,32 +363,21 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     semi-transitive.  A caller that runs several searches under one limit
     passes its `_Budget` as `budget`, which then replaces `max_nodes` and
     `max_seconds`.
-
-    The graph keeps a witness or a refutation in `g._orient`, so deciding
-    and then orienting the same object searches once.  A repeat call
-    returns the kept outcome with `nodes_expanded=0` and `elapsed=0.0`, as
-    it spends no budget.  A `budget_exhausted` outcome is not kept, so a
-    later call with a larger budget searches again.
     """
     if g.m == 0:
         return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
-    if g._orient is not None:
-        return replace(g._orient, nodes_expanded=0, elapsed=0.0)
 
     def kernel():
         succ = _OrientSearch(g, budget).search()
         return None if succ is None else Orientation._from_succ(g, succ)
 
-    out = run_search(
+    return run_search(
         kernel,
         budget,
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
     )
-    if out.conclusive:
-        g._orient = out
-    return out
 
 
 # -- transitive orientations (comparability) ----------------------------------
@@ -407,25 +404,30 @@ def _transitive_orientation(adj):
             into = [0] * n  # into[b]: tails of the class's arcs into b
             out[x], into[y] = 1 << y, 1 << x
             stack = [(x, y)]
+            touched = 1 << x | 1 << y  # the ends of the class's arcs
             while stack:
                 a, b = stack.pop()
-                new = rem[a] & ~rem[b] & ~(1 << b) & ~out[a]
+                bit_a, bit_b = 1 << a, 1 << b
+                ra, rb = rem[a], rem[b]
+                new = ra & ~rb & ~bit_b & ~out[a]
                 if new:
                     if new & into[a]:
                         return None, classes
                     out[a] |= new
+                    touched |= new
                     for c in _bits(new):
-                        into[c] |= 1 << a
+                        into[c] |= bit_a
                         stack.append((a, c))
-                new = rem[b] & ~rem[a] & ~(1 << a) & ~into[b]
+                new = rb & ~ra & ~bit_a & ~into[b]
                 if new:
                     if new & out[b]:
                         return None, classes
                     into[b] |= new
+                    touched |= new
                     for c in _bits(new):
-                        out[c] |= 1 << b
+                        out[c] |= bit_b
                         stack.append((c, b))
-            for v in range(n):
+            for v in _bits(touched):
                 rem[v] &= ~(out[v] | into[v])
                 succ[v] |= out[v]
     return succ, classes
@@ -477,7 +479,9 @@ def neighborhood_filter(g):
     for v, hood in enumerate(adj):
         if hood.bit_count() < 5:
             continue
-        cut = [a & hood if hood >> u & 1 else 0 for u, a in enumerate(adj)]
+        cut = [0] * g.n
+        for u in _bits(hood):
+            cut[u] = adj[u] & hood
         if _comparability(cut)[0] is None:
             return v + 1
     return None

@@ -61,12 +61,6 @@ def brute_force_word_graph(w):
     return Graph(n, edges)
 
 
-def fresh(g):
-    """An equal Graph that keeps no search outcome, for a test that counts
-    the nodes of a search on a graph some other call may have searched."""
-    return Graph(g.n, g.edges())
-
-
 def relabel(g, perm):
     """Apply a permutation (0-indexed tuple) to g's labels."""
     return Graph(

@@ -53,6 +53,17 @@ def test_graph6_random_roundtrip(rng):
         assert from_graph6(to_graph6(g)) == g
 
 
+def test_graph6_decodes_as_networkx(rng):
+    for n in [0, 1, 2, 62] + [rng.randint(3, 61) for _ in range(60)]:
+        p = rng.random()
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        text = _nx_graph6(Graph(n, [e for e in pairs if rng.random() < p]))
+        h = nx.from_graph6_bytes(text.encode())
+        g = from_graph6(text)
+        assert g.n == h.number_of_nodes() == n
+        assert sorted(g.edges()) == sorted((min(u, v) + 1, max(u, v) + 1) for u, v in h.edges())
+
+
 def test_graph6_header_prefix_accepted():
     g = families.cycle(5)
     assert from_graph6(">>graph6<<" + to_graph6(g)) == g

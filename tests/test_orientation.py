@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atlas_graphs, fresh, shallow_stack, words_over
+from conftest import atlas_graphs, shallow_stack, words_over
 from wordrep import families, orientation
 from wordrep.graphs import (
     Graph,
@@ -206,9 +206,7 @@ def test_decide_is_the_filter_then_the_search():
         families.max_degree_four_counterexample(),
     ):
         assert neighborhood_filter(g) is None
-        # `_decide` keeps its search on g, so the reference searches an
-        # equal, fresh graph
-        out, search = _decide(g, _Budget()), find_semi_transitive(fresh(g))
+        out, search = _decide(g, _Budget()), find_semi_transitive(g)
         assert (out.status, out.witness, out.nodes_expanded) == (
             search.status,
             search.witness,
@@ -241,65 +239,6 @@ def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     out = _decide(families.prism(3), _Budget())
     assert out.found and out.detail == {"route": "search"}
     assert searched == [families.prism(3)]
-
-
-# -- a graph keeps its orientation search ----------------------------------------
-
-
-@pytest.fixture
-def searches(monkeypatch):
-    """The graphs that `find_semi_transitive` builds an `_OrientSearch` for."""
-    built = []
-
-    class Counted(_OrientSearch):
-        def __init__(self, g, budget):
-            built.append(g)
-            super().__init__(g, budget)
-
-    monkeypatch.setattr(orientation, "_OrientSearch", Counted)
-    return built
-
-
-def test_a_repeat_search_builds_no_search(searches):
-    for g, status in ((families.petersen(), "witness"), (families.wheel(7), "refuted")):
-        first = find_semi_transitive(g)
-        assert first.status == status and first.nodes_expanded > 0
-        assert g._orient is first
-        again = find_semi_transitive(g, max_nodes=0)  # spends nothing, so nothing runs out
-        assert (again.status, again.nodes_expanded, again.elapsed) == (status, 0, 0.0)
-        assert again.witness is first.witness and again.detail == first.detail
-        assert searches == [g]
-        searches.clear()
-
-
-def test_deciding_then_orienting_searches_once(searches):
-    g = families.prism(3)
-    decided = _decide(g, _Budget())
-    assert decided.detail == {"route": "search"} and decided.nodes_expanded > 0
-    out = find_semi_transitive(g)
-    assert out.found and out.nodes_expanded == 0 and out.witness is decided.witness
-    assert searches == [g]
-
-
-def test_a_budget_exhausted_search_is_not_kept(searches):
-    g = families.petersen()
-    assert find_semi_transitive(g, max_nodes=1).status == "budget_exhausted"
-    assert g._orient is None
-    out = find_semi_transitive(g)
-    assert out.found and out.nodes_expanded > 1 and g._orient is out
-    assert [id(x) for x in searches] == [id(g), id(g)]
-
-
-def test_an_equal_fresh_graph_searches_again(searches):
-    for g in (families.petersen(), families.co_t2()):
-        first = find_semi_transitive(g)
-        h = fresh(g)
-        assert h == g and hash(h) == hash(g) and h._orient is None
-        again = find_semi_transitive(h)
-        assert (again.status, again.nodes_expanded) == (first.status, first.nodes_expanded)
-        assert again.witness == first.witness and h._orient is again
-        assert [id(x) for x in searches] == [id(g), id(h)]
-        searches.clear()
 
 
 def test_neighborhood_filter():
@@ -883,6 +822,104 @@ def test_find_transitive_counts_implication_classes():
     assert find_transitive(families.empty(3)).nodes_expanded == 0
 
 
+def reference_transitive_orientation(adj):
+    """`_transitive_orientation` as it was when each class swept every
+    vertex, verbatim apart from its name."""
+    n = len(adj)
+    rem = list(adj)
+    succ = [0] * n
+    classes = 0
+    for x in range(n):
+        while rem[x]:
+            y = (rem[x] & -rem[x]).bit_length() - 1
+            classes += 1
+            out = [0] * n  # out[a]: heads of the class's arcs from a
+            into = [0] * n  # into[b]: tails of the class's arcs into b
+            out[x], into[y] = 1 << y, 1 << x
+            stack = [(x, y)]
+            while stack:
+                a, b = stack.pop()
+                new = rem[a] & ~rem[b] & ~(1 << b) & ~out[a]
+                if new:
+                    if new & into[a]:
+                        return None, classes
+                    out[a] |= new
+                    for c in _bits(new):
+                        into[c] |= 1 << a
+                        stack.append((a, c))
+                new = rem[b] & ~rem[a] & ~(1 << a) & ~into[b]
+                if new:
+                    if new & out[b]:
+                        return None, classes
+                    into[b] |= new
+                    for c in _bits(new):
+                        out[c] |= 1 << b
+                        stack.append((c, b))
+            for v in range(n):
+                rem[v] &= ~(out[v] | into[v])
+                succ[v] |= out[v]
+    return succ, classes
+
+
+def test_transitive_orientation_matches_the_full_sweep():
+    # the graphs and the neighbourhood cuts that `neighborhood_filter` hands
+    # to TRO: the same orientation, refutation and class count
+    cases = [g.adj for g in atlas_graphs()]
+    for g in _random_connected(300, seed=14):
+        cases.append(g.adj)
+        for hood in g.adj:
+            cases.append([a & hood if hood >> u & 1 else 0 for u, a in enumerate(g.adj)])
+    refuted = 0
+    for adj in cases:
+        out = orientation._transitive_orientation(adj)
+        assert out == reference_transitive_orientation(adj), adj
+        refuted += out[0] is None
+    assert 0 < refuted < len(cases)
+
+
+def test_arc_checks_match_their_generator_forms():
+    # `_orients_each_edge_once` and `_transitive` against the one-expression
+    # forms they had, on random arc tables with arcs missing, doubled and
+    # off the edges
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(4000):
+        n = rng.randint(1, 8)
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        adj = Graph(n, [e for e in pairs if rng.random() < 0.6]).adj
+        succ = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            # 0: unoriented, 1: u->v, 2: v->u, 3: both; rarely an arc off the edges
+            if adj[u] >> v & 1:
+                way = rng.choice((1, 2) * 12 + (0, 3))
+            else:
+                way = rng.choice((0,) * 30 + (1, 3))
+            succ[u] |= (way & 1) << v
+            succ[v] |= (way >> 1) << u
+        pred = [0] * n
+        for u, s in enumerate(succ):
+            for v in _bits(s):
+                pred[v] |= 1 << u
+        once = all(not s & ~a for s, a in zip(succ, adj)) and all(
+            s ^ p == a for s, p, a in zip(succ, pred, adj)
+        )
+        transitive = not any(succ[v] & ~su for su in succ for v in _bits(su))
+        assert _orients_each_edge_once(adj, succ) == once, (adj, succ)
+        assert orientation._transitive(succ) == transitive, succ
+        seen.add((once, transitive))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_search_branches_on_edges_by_their_lower_degree():
+    # descending lower end degree, ties in lexicographic order: the order of
+    # a stable sort of `g.edges()` on that key
+    for g in atlas_graphs() + _random_connected(100, seed=16):
+        deg = [a.bit_count() for a in g.adj]
+        edges = [(u - 1, v - 1) for u, v in g.edges()]
+        expected = sorted(edges, key=lambda e: -min(deg[e[0]], deg[e[1]]))
+        assert _OrientSearch(g, _Budget()).edges == expected, g
+
+
 def test_semi_transitive_search_matches_reference_propagation():
     graphs = [g for g in atlas_graphs() if g.m and is_connected(g)]
     graphs += _random_connected(300, seed=12)
@@ -904,7 +941,7 @@ class _UnprunedOrientSearch(_OrientSearch):
         self.budget.tick()
         while depth < len(self.edges):
             a, b = self.edges[depth]
-            if self.oriented(a, b):
+            if (self.succ[a] >> b | self.succ[b] >> a) & 1:
                 depth += 1
                 continue
             for first, second in ((a, b), (b, a)):

@@ -92,8 +92,10 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-# Every function in the library that calls itself, with what bounds its
-# depth.  The searches that a budget bounds keep their own stacks instead.
+# Every function in the library that calls itself directly, with what bounds
+# its depth.  The searches that a budget bounds keep their own stacks instead.
+# The scan sees a call by the function's own name, or as `self.name` /
+# `cls.name`; mutual recursion and a call through an alias escape it.
 RECURSIVE = {
     "graphs.contains_induced.place",  # one frame per vertex of the pattern graph h
     "graphs.automorphisms.place",  # one frame per vertex, at most CANONICAL_CEILING

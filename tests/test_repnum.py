@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_labeled_graphs, atlas_graphs, fresh, relabel, shallow_stack
+from conftest import all_labeled_graphs, atlas_graphs, relabel, shallow_stack
 from wordrep import families
 from wordrep.enumeration import generate
 from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms, complement
@@ -803,18 +803,17 @@ def test_representation_number_builds_one_symmetry_bar(monkeypatch):
 
 def test_shared_symmetry_bar_matches_a_fresh_bar_per_k(connected_upto_6):
     # the barred mask depends only on the placed set, so the memo that every
-    # k shares changes neither the witness nor the node total; each side
-    # decides a fresh graph, as a graph keeps its orientation search
+    # k shares changes neither the witness nor the node total
     for graphs in connected_upto_6.values():
         for g in graphs:
             budget = _Budget()
-            k, witness = _representation(fresh(g), budget)
-            apart = _Budget()
-            assert _decide(fresh(g), apart).found == (witness is not None)
+            k, witness = _representation(g, budget)
+            fresh = _Budget()
+            assert _decide(g, fresh).found == (witness is not None)
             out = None
             for j in range(1, k + 1) if witness else ():
-                out = find_k_uniform_word(g, j, budget=apart, bar=_symmetry_bar(g))
-            assert (out and out.witness) == witness and apart.nodes == budget.nodes, g
+                out = find_k_uniform_word(g, j, budget=fresh, bar=_symmetry_bar(g))
+            assert (out and out.witness) == witness and fresh.nodes == budget.nodes, g
 
 
 # -- permutation representation -------------------------------------------------
