@@ -277,18 +277,12 @@ def cmd_op(args):
 
 
 def cmd_enumerate(args):
-    checkpoint = args.checkpoint
-    if checkpoint is None and os.environ.get("WORDREP_CHECKPOINT_DIR"):
-        kind = "connected" if not args.all else "all"
-        checkpoint = os.path.join(
-            os.environ["WORDREP_CHECKPOINT_DIR"], f"n{args.n}_{kind}.ckpt"
-        )
     corpus = generate(args.n, connected=not args.all)
     payload = {"n": args.n, "corpus_size": len(corpus), "connected": not args.all}
     if args.count_nonrep or args.minimal:
         # one census answers both questions
         members = non_representable_members(
-            corpus, jobs=args.jobs, checkpoint=checkpoint, **_budget_kw(args)
+            corpus, jobs=args.jobs, checkpoint=args.checkpoint, **_budget_kw(args)
         )
     if args.count_nonrep:
         payload["count_non_representable"] = len(members)

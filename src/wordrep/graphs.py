@@ -355,31 +355,37 @@ def contains_induced(g, h):
         rem.remove(v)
     gdeg = [g.adj[v].bit_count() for v in range(g.n)]
     hdeg = [h.adj[v].bit_count() for v in range(h.n)]
+    # depth-first over the positions of `order`, keeping its own stack of
+    # the placed positions: gv is the next g-vertex to try for the next
+    # h-vertex hv, whose image must have exactly the neighbours `want`
+    # among the `used` images
+    n, gadj = g.n, g.adj
     image = [0] * h.n  # h-vertex -> g-vertex (0-indexed)
-    used = [False] * g.n
-
-    def place(k):
-        hv = order[k]
-        for gv in range(g.n):
-            if used[gv] or gdeg[gv] < hdeg[hv]:
-                continue
-            ok = True
-            for j in range(k):
-                hu = order[j]
-                if bool(h.adj[hv] >> hu & 1) != bool(g.adj[gv] >> image[hu] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[hv] = gv
-            used[gv] = True
-            if k + 1 == h.n or place(k + 1):
-                used[gv] = False
+    stack = []  # the `want` of each placed position
+    used = placed = want = gv = 0
+    while True:
+        hv = order[len(stack)]
+        least = hdeg[hv]
+        while gv < n and (used >> gv & 1 or gdeg[gv] < least or gadj[gv] & used != want):
+            gv += 1
+        if gv < n:
+            if len(stack) + 1 == h.n:
                 return True
-            used[gv] = False
-        return False
-
-    return place(0)
+            image[hv] = gv
+            used |= 1 << gv
+            placed |= 1 << hv
+            stack.append(want)
+            want = sum(1 << image[u] for u in _bits(h.adj[order[len(stack)]] & placed))
+            gv = 0
+        elif stack:
+            want = stack.pop()
+            hv = order[len(stack)]
+            gv = image[hv]
+            used &= ~(1 << gv)
+            placed &= ~(1 << hv)
+            gv += 1
+        else:
+            return False
 
 
 # -- canonical form and isomorphism ------------------------------------------

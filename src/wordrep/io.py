@@ -106,8 +106,8 @@ def from_edge_list_text(text):
 # -- DOT export ----------------------------------------------------------------
 
 
-def to_dot(g, name="g"):
-    lines = [f"graph {name} {{"]
+def to_dot(g):
+    lines = ["graph g {"]
     for v in g.vertices():
         lines.append(f"  {v};")
     for u, v in g.edges():
@@ -116,8 +116,8 @@ def to_dot(g, name="g"):
     return "\n".join(lines) + "\n"
 
 
-def orientation_to_dot(o, name="g"):
-    lines = [f"digraph {name} {{"]
+def orientation_to_dot(o):
+    lines = ["digraph g {"]
     for v in o.graph.vertices():
         lines.append(f"  {v};")
     for u, v in o.arcs():

@@ -44,7 +44,6 @@ from .outcome import (
 )
 from .words import as_pattern, contains_pattern, word_to_graph
 
-LENGTH_CEILING = 36
 PERMUTATION_CEILING = 12
 AUTOMORPHISM_CAP = 2048
 
@@ -208,11 +207,13 @@ def find_k_uniform_word(
     A caller that searches several k passes its `_Budget` as `budget`, which
     then replaces `max_nodes` and `max_seconds`, and `_symmetry_bar(g)` as
     `bar`, so the symmetry rules are compiled once for all k.
+
+    There is no size ceiling: the search stops only at a verdict or at its
+    budget.  The walk keeps one undo record per placed letter, so without a
+    budget a long word is bounded by memory alone.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n * k > LENGTH_CEILING:
-        raise CeilingExceeded(f"word length {g.n * k} exceeds ceiling {LENGTH_CEILING}")
     if g.n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0)
     if budget is None:
@@ -244,22 +245,18 @@ def representation_number(g, max_nodes=None, max_seconds=None):
 
 def _representation(g, budget):
     """`representation_number` under `budget`, returned with a k-uniform
-    representant for the least k (None when g is not representable)."""
+    representant for the least k (None when g is not representable).
+
+    The k loop stops at 2(n - clique number), or at 1 for a complete graph;
+    the `AssertionError` after it checks that theorem on every run."""
     if not _decide(g, budget).require_conclusive().found:
         return math.inf, None
     bar = _symmetry_bar(g)
-    k = bound = 1
-    while k <= bound:
+    bound = max(1, 2 * (g.n - max_clique_size(g)))
+    for k in range(1, bound + 1):
         outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
         if outcome.found:
             return k, outcome.witness
-        # read the bound only once k = 1 is refuted: complete graphs, the
-        # only 1-uniform ones, then skip the clique search, exponential in
-        # the worst case, and a graph past LENGTH_CEILING is refused by the
-        # search at k = 1 before it starts
-        if k == 1:
-            bound = 2 * (g.n - max_clique_size(g))
-        k += 1
     raise AssertionError(
         "representable graph had no witness within the uniform bound"
     )

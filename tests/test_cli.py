@@ -244,11 +244,11 @@ def test_enumerate_rejects_jobs_below_one(capsys):
         assert "jobs" in json.loads(captured.err)["error"]
 
 
-def test_enumerate_checkpoint_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("WORDREP_CHECKPOINT_DIR", str(tmp_path))
-    payload, code = run(capsys, "enumerate", "5", "--count-nonrep")
+def test_enumerate_writes_its_checkpoint(capsys, tmp_path):
+    ckpt = tmp_path / "n5.ckpt"
+    payload, code = run(capsys, "enumerate", "5", "--count-nonrep", "--checkpoint", str(ckpt))
     assert code == 0
-    assert (tmp_path / "n5_connected.ckpt").exists()
+    assert len(ckpt.read_text().splitlines()) == payload["corpus_size"] == 21
 
 
 def test_pattern_count(capsys):
@@ -278,7 +278,9 @@ def test_pattern_count_on_k1_past_the_ceiling_exits_2(capsys):
     [
         (["decide", "family:cycle:1501"], 0),
         (["orient", "family:wheel:13"], 1),
-        (["repnum", "family:complete:1000"], 2),
+        (["repnum", "family:complete:200"], 0),
+        (["represent", "family:path:19"], 0),
+        (["repnum", "family:cycle:20", "--max-nodes", "20000"], 3),
     ],
 )
 def test_graphs_past_twelve_vertices(argv, code):
@@ -287,8 +289,12 @@ def test_graphs_past_twelve_vertices(argv, code):
     payload = json.loads(text)
     if argv[0] == "orient":
         assert payload["stats"]["nodes_expanded"] == 1036
-    if argv[0] == "repnum":
-        assert payload["error"] == "word length 1000 exceeds ceiling 36"
+    if argv[1] == "family:complete:200":
+        assert payload["repnum"] == 1
+    if argv[0] == "represent":
+        word = payload["witness_word"]
+        assert payload["k"] == 2 and len(parse_word(word)) == 38
+        assert main(["check-word", word, "--graph", argv[1]]) == 0
 
 
 def test_word_with_a_wide_gap_exits_2(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,81 @@ def test_contains_induced_monotone(rng):
         if contains_induced(g, h):
             for v in h.vertices():
                 assert contains_induced(g, delete_vertex(h, v))
+
+
+def reference_contains_induced(g, h):
+    """`contains_induced` as it was when it recursed once per vertex of h."""
+    if h.n > g.n:
+        return False
+    if h.n == 0:
+        return True
+    order = []
+    placed = 0
+    rem = set(range(h.n))
+    while rem:
+        v = max(rem, key=lambda x: ((h.adj[x] & placed).bit_count(), h.adj[x].bit_count()))
+        order.append(v)
+        placed |= 1 << v
+        rem.remove(v)
+    gdeg = [g.adj[v].bit_count() for v in range(g.n)]
+    hdeg = [h.adj[v].bit_count() for v in range(h.n)]
+    image = [0] * h.n
+    used = [False] * g.n
+
+    def place(k):
+        hv = order[k]
+        for gv in range(g.n):
+            if used[gv] or gdeg[gv] < hdeg[hv]:
+                continue
+            ok = True
+            for j in range(k):
+                hu = order[j]
+                if bool(h.adj[hv] >> hu & 1) != bool(g.adj[gv] >> image[hu] & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            image[hv] = gv
+            used[gv] = True
+            if k + 1 == h.n or place(k + 1):
+                used[gv] = False
+                return True
+            used[gv] = False
+        return False
+
+    return place(0)
+
+
+def test_contains_induced_matches_the_recursive_search():
+    atlas = atlas_graphs()
+    small = [h for h in atlas if h.n <= 4 and is_connected(h)]
+    for g in atlas:
+        for h in small:
+            assert contains_induced(g, h) == reference_contains_induced(g, h), (g, h)
+    rng = random.Random(24)
+
+    def random_graph(n):
+        p = rng.random()
+        return Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+
+    found = 0
+    for _ in range(500):
+        g = random_graph(rng.randint(0, 12))
+        if g.n and rng.random() < 0.5:  # an induced subgraph, relabeled
+            keep = rng.sample(range(1, g.n + 1), rng.randint(1, g.n))
+            h = relabel(induced_subgraph(g, keep), rng.sample(range(len(keep)), len(keep)))
+        else:
+            h = random_graph(rng.randint(0, 12))
+        expected = reference_contains_induced(g, h)
+        assert contains_induced(g, h) == expected, (g, h)
+        found += expected
+    assert 100 < found < 500
+
+
+def test_contains_induced_keeps_its_own_stack():
+    # one position per vertex of h: a recursion would need 1000 frames
+    with shallow_stack():
+        assert contains_induced(families.empty(1000), families.empty(1000))
 
 
 def test_canonical_form_matches_brute_force_n4():

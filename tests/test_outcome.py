@@ -97,7 +97,6 @@ def test_library_has_no_assert_statements():
 # The scan sees a call by the function's own name, or as `self.name` /
 # `cls.name`; mutual recursion and a call through an alias escape it.
 RECURSIVE = {
-    "graphs.contains_induced.place",  # one frame per vertex of the pattern graph h
     "graphs.automorphisms.place",  # one frame per vertex, at most CANONICAL_CEILING
     # one frame per critical pair reversed, at most n(n - 1) for n <= PERMUTATION_CEILING
     "repnum.permutational_representation_number.realize",

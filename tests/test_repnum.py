@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_labeled_graphs, atlas_graphs, relabel, shallow_stack
 from wordrep import families
 from wordrep.enumeration import generate
-from wordrep.graphs import CeilingExceeded, Graph, _bits, automorphisms, complement
+from wordrep.graphs import (
+    CeilingExceeded,
+    Graph,
+    _bits,
+    automorphisms,
+    complement,
+    is_connected,
+    max_clique_size,
+)
 from wordrep.orientation import _decide, find_transitive
 from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
 from wordrep.repnum import (
@@ -58,18 +66,19 @@ def test_uniform_search_monotone_in_k():
         assert find_k_uniform_word(g, k + 1).found
 
 
-def test_uniform_search_ceiling():
-    with pytest.raises(CeilingExceeded):
-        find_k_uniform_word(families.petersen(), 4)
+def test_uniform_search_has_no_size_ceiling():
+    # the budget alone stops a long word: 40 letters, then 200,000
+    out = find_k_uniform_word(families.petersen(), 4, max_nodes=1000)
+    assert out.status == "budget_exhausted"
     with pytest.raises(ValueError):
         find_k_uniform_word(families.complete(2), 0)
+    out = find_k_uniform_word(families.complete(2), 100_000, max_nodes=1000)
+    assert out.status == "budget_exhausted" and out.nodes_expanded == 1001
 
 
 def test_representation_number_past_twelve_vertices():
-    # the search at k = 1 refuses the 1,000-letter word before the clique
-    # bound, whose branch and bound recurses once per clique vertex, is read
-    with pytest.raises(CeilingExceeded, match="word length 1000 exceeds ceiling 36"):
-        representation_number(families.complete(1000))
+    assert representation_number(families.complete(200)) == 1
+    assert representation_number(families.path(19)) == 2  # 38 letters
     assert representation_number(families.wheel(13)) == math.inf  # by the filter
 
 
@@ -814,6 +823,43 @@ def test_shared_symmetry_bar_matches_a_fresh_bar_per_k(connected_upto_6):
             for j in range(1, k + 1) if witness else ():
                 out = find_k_uniform_word(g, j, budget=fresh, bar=_symmetry_bar(g))
             assert (out and out.witness) == witness and fresh.nodes == budget.nodes, g
+
+
+# `_representation` as it was while a word-length ceiling refused long words:
+# it read the clique bound only once k = 1 was refuted.
+
+
+def reference_representation(g, budget):
+    if not _decide(g, budget).require_conclusive().found:
+        return math.inf, None
+    bar = _symmetry_bar(g)
+    k = bound = 1
+    while k <= bound:
+        outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
+        if outcome.found:
+            return k, outcome.witness
+        if k == 1:
+            bound = 2 * (g.n - max_clique_size(g))
+        k += 1
+    raise AssertionError(
+        "representable graph had no witness within the uniform bound"
+    )
+
+
+def test_representation_matches_the_reference():
+    for g in atlas_graphs():
+        if not is_connected(g):
+            continue
+        budget, reference = _Budget(), _Budget()
+        assert _representation(g, budget) == reference_representation(g, reference), g
+        assert budget.nodes == reference.nodes, g
+    stops = []
+    for search in (_representation, reference_representation):
+        budget = _Budget(max_nodes=200_000)
+        with pytest.raises(BudgetExhausted) as stop:
+            search(families.petersen(), budget)
+        stops.append((str(stop.value), budget.nodes))
+    assert stops[0] == stops[1]
 
 
 # -- permutation representation -------------------------------------------------
