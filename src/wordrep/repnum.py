@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import CANONICAL_CEILING, CeilingExceeded, automorphisms, max_clique_size, _bits
+from .graphs import CANONICAL_CEILING, CeilingExceeded, automorphisms, _bits
 from .orientation import _comparability, _decide
 from .outcome import (
     REFUTED,
@@ -191,15 +191,7 @@ def _symmetry_bar(g):
     return bar
 
 
-def find_k_uniform_word(
-    g,
-    k,
-    max_nodes=None,
-    max_seconds=None,
-    *,
-    budget=None,
-    bar=None,
-):
+def find_k_uniform_word(g, k, max_nodes=None, max_seconds=None, *, budget=None, bar=None):
     """Search for a k-uniform word representing the labeled graph g.
 
     A refuted outcome is exhaustive over all k-uniform words; neither
@@ -208,9 +200,8 @@ def find_k_uniform_word(
     then replaces `max_nodes` and `max_seconds`, and `_symmetry_bar(g)` as
     `bar`, so the symmetry rules are compiled once for all k.
 
-    There is no size ceiling: the search stops only at a verdict or at its
-    budget.  The walk keeps one undo record per placed letter, so without a
-    budget a long word is bounded by memory alone.
+    No size ceiling: only a verdict or the budget stops the search, and with
+    no budget memory bounds a long word (one undo record per letter).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -236,9 +227,9 @@ def representation_number(g, max_nodes=None, max_seconds=None):
     refutes representability outright.
 
     Every non-complete representable graph is 2(n - clique number)-uniform
-    representable, so the loop is capped by that bound.  `max_nodes` and
-    `max_seconds` bound the whole call: the orientation search and every
-    uniform search share one budget.
+    representable, so the loop is capped by that bound, read from a greedy
+    clique.  `max_nodes` and `max_seconds` bound the whole call: the
+    orientation search and every uniform search share one budget.
     """
     return _representation(g, _Budget(max_nodes, max_seconds))[0]
 
@@ -247,19 +238,23 @@ def _representation(g, budget):
     """`representation_number` under `budget`, returned with a k-uniform
     representant for the least k (None when g is not representable).
 
-    The k loop stops at 2(n - clique number), or at 1 for a complete graph;
-    the `AssertionError` after it checks that theorem on every run."""
+    The k loop stops at 2(n - c), or 1 for a complete graph, for a greedy
+    clique of c vertices: no lower than the theorem's bound, in n mask
+    operations, where the exact clique number is exponential and takes no
+    budget.  The `AssertionError` after the loop checks the theorem."""
     if not _decide(g, budget).require_conclusive().found:
         return math.inf, None
     bar = _symmetry_bar(g)
-    bound = max(1, 2 * (g.n - max_clique_size(g)))
+    clique = 0
+    for v in sorted(range(g.n), key=lambda v: -g.adj[v].bit_count()):
+        if not clique & ~g.adj[v]:
+            clique |= 1 << v
+    bound = max(1, 2 * (g.n - clique.bit_count()))
     for k in range(1, bound + 1):
         outcome = find_k_uniform_word(g, k, budget=budget, bar=bar).require_conclusive()
         if outcome.found:
             return k, outcome.witness
-    raise AssertionError(
-        "representable graph had no witness within the uniform bound"
-    )
+    raise AssertionError("representable graph had no witness within the uniform bound")
 
 
 # -- pattern-avoiding search ---------------------------------------------------

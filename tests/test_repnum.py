@@ -82,6 +82,20 @@ def test_representation_number_past_twelve_vertices():
     assert representation_number(families.wheel(13)) == math.inf  # by the filter
 
 
+def test_uniform_bound_needs_no_exact_clique_number():
+    # the complete multipartite graph with 20 parts of 3 vertices has clique
+    # number 20, which an exact branch and bound, taking no budget, proves
+    # only after about 3^19 nodes; the greedy clique that caps the k loop
+    # costs n mask operations, so the budget alone bounds the call
+    parts = Graph(60, [(u, v) for u, v in itertools.combinations(range(1, 61), 2) if (u - 1) // 3 != (v - 1) // 3])
+    budget = _Budget()
+    k, witness = _representation(parts, budget)
+    assert k == 2 and word_to_graph(witness) == parts
+    assert budget.nodes == 122
+    with pytest.raises(BudgetExhausted, match="after 100 nodes"):
+        representation_number(parts, max_nodes=100)
+
+
 def test_pattern_search_keeps_no_stack_per_letter():
     # the witness has 79 letters: a walk that recursed once per letter
     # would run out of a stack of 50 frames
