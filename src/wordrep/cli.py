@@ -219,7 +219,9 @@ def cmd_repnum(args):
 
 def cmd_perm_repnum(args):
     g = parse_graph(args.graph)
-    outcome = permutational_representation_number(g, max_p=args.max_p)
+    outcome = permutational_representation_number(
+        g, max_p=args.max_p, **_budget_kw(args)
+    ).require_conclusive()
     if outcome.found:
         return {
             "perm_repnum": outcome.detail["permutations"],
@@ -355,6 +357,7 @@ def build_parser():
     p = sub.add_parser("perm-repnum", help="least number of concatenated permutations")
     p.add_argument("graph")
     p.add_argument("--max-p", type=int, default=3)
+    budget_flags(p)
     p.set_defaults(func=cmd_perm_repnum)
 
     p = sub.add_parser("family", help="build a named family graph")

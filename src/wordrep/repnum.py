@@ -49,113 +49,124 @@ AUTOMORPHISM_CAP = 2048
 
 
 class _PairState:
-    """A word under construction and the state of every letter pair, as
-    per-letter bitmasks (bit y of a mask stands for letter y+1).
+    """A word over g under construction, within per-letter copy caps, and
+    the state of every letter pair, as per-letter bitmasks (bit y of a mask
+    stands for letter y+1).  `walk` grows the word and keeps the pair state;
+    the searches' `bar` and `done` read `word`, `placed` and `loose`.
 
-    - `before[x]`: for a placed x, the letters whose last copy comes before
-      x's last copy or that are not placed yet; 0 while x is unplaced.
-    - `broken[x]`: the non-neighbours y whose projection onto {x, y} has
-      stopped alternating.
-    - `placed`, `low`: the letters with a copy in the word, and with fewer
-      than two copies left.
-
-    Right after x is placed, x is the last letter of every pair {x, y}, so
-    the tests on the pairs at x are mask tests.  `place` builds new lists
-    and returns the old ones, which `unplace` puts back.
+    - `rem[x]`: the copies of x left.
+    - `placed`: the letters with a copy in the word.
+    - `loose`: the letters with a non-neighbour whose pair still alternates.
     """
 
     def __init__(self, g, caps):
         self.full = (1 << g.n) - 1
         self.adj = g.adj
         self.nonadj = [self.full & ~(a | 1 << x) for x, a in enumerate(g.adj)]
-        self.unbroken = sum(m.bit_count() for m in self.nonadj) // 2
         self.rem = list(caps)
-        self.low = sum(1 << x for x, c in enumerate(caps) if c < 2)
-        self.before = [0] * g.n
-        self.broken = [0] * g.n
         self.placed = 0
+        self.loose = sum(1 << x for x, m in enumerate(self.nonadj) if m)
         self.word = []  # 1-indexed letters, so pattern checks read naturally
-
-    def place(self, x):
-        bit = 1 << x
-        before, broken = self.before, self.broken
-        undo = (before, broken, self.placed, self.low, self.unbroken)
-        new = before[x] & self.nonadj[x] & ~broken[x]
-        if new:  # x follows x in these pairs' projections
-            broken = broken[:]
-            broken[x] |= new
-            for y in _bits(new):
-                broken[y] |= bit
-            self.broken = broken
-            self.unbroken -= new.bit_count()
-        keep = ~bit
-        before = [b & keep for b in before]
-        before[x] = self.full & keep
-        self.before = before
-        self.placed |= bit
-        self.rem[x] -= 1
-        if self.rem[x] < 2:
-            self.low |= bit
-        self.word.append(x + 1)
-        return undo
-
-    def unplace(self, x, undo):
-        self.before, self.broken, self.placed, self.low, self.unbroken = undo
-        self.rem[x] += 1
-        self.word.pop()
 
     def is_witness(self):
         """Every letter is placed and every non-edge has stopped alternating."""
-        return self.placed == self.full and not self.unbroken
+        return self.placed == self.full and not self.loose
 
     def walk(self, budget, bar, done):
-        """Depth-first search from the current word for one on which `done()`
-        holds: True leaves that word in place, False the word as it was.
+        """Depth-first search from the empty word for one on which `done()`
+        holds: True leaves that word in place, False the empty word.
 
-        The search keeps its own stack, so its depth is bounded by the
-        budget and the caps alone: each entry holds a placed letter, the
-        moves left at the node it was placed from, and its undo record.
-        Each node ticks `budget` once and then tries, in increasing order,
-        each move outside the mask `bar(self)`, which may read any of the
-        state.  A search may bar only letters whose subtrees hold no word it
-        wants.
+        The search is one loop over its own stack, so its depth is bounded
+        by the budget and the caps alone: each entry holds a placed letter,
+        the moves left at the node it was placed from, and the pair state
+        as it was before it.  Each node ticks `budget` once and then tries,
+        in increasing order, each move outside the mask `bar(self)`.  A
+        search may bar only letters whose subtrees hold no word it wants.
 
-        A move x has a copy left, would not repeat in the projection of an
-        edge at x, and leaves every alternating non-edge at x breakable:
-        once x's last copy is placed, only two more copies of the other
-        letter can break it.  So after every placement every adjacent
-        pair's projection still strictly alternates, and every non-adjacent
-        pair can still end up non-alternating with the remaining copies: a
-        uniform word that reaches full length is a representant.  A uniform
-        word needs no test that x's neighbours keep copies to follow x:
-        when all k copies of a neighbour y are placed and x can still
-        follow, the projection onto {x, y} alternates and ends in y, so it
-        holds k - 1 copies of x and x has one copy left.  A search that may
-        stop short of its caps never needs it: a letter can simply get no
-        more copies.
+        Besides `placed` and `loose`, the pair state is
+        - `before[x]`: for a placed x, the letters whose last copy comes
+          before x's last copy or that are not placed yet; 0 while x is
+          unplaced.
+        - `broken[x]`: the non-neighbours y whose projection onto {x, y}
+          has stopped alternating.
+        - `low`, `spent`: the letters with fewer than two copies left, and
+          with none left.
+        - `blocked`: the placed letters x with a neighbour in `before[x]`,
+          whose next copy would repeat in that edge's projection.
+        Right after x is placed, x is the last letter of every pair {x, y},
+        so the tests on the pairs at x are mask tests.  Placing x blocks x
+        when it has neighbours, and can unblock only the blocked neighbours
+        of x, which alone are rechecked.  No list is changed in place: a
+        placement builds new ones and stacks the old ones to put back.
+
+        A move x has a copy left (not in `spent`), would not repeat in the
+        projection of an edge at x (not in `blocked`), and leaves every
+        alternating non-edge at x breakable: once x's last copy is placed,
+        only two more copies of the other letter can break it, so a letter
+        with one copy left and an alternating non-edge (in `loose`) is
+        tested against the letters in `low`.  So after every placement
+        every adjacent pair's projection still strictly alternates, and
+        every non-adjacent pair can still end up non-alternating with the
+        remaining copies: a uniform word that reaches full length is a
+        representant.  A uniform word needs no test that x's neighbours
+        keep copies to follow x: when all k copies of a neighbour y are
+        placed and x can still follow, the projection onto {x, y}
+        alternates and ends in y, so it holds k - 1 copies of x and x has
+        one copy left.  A search that may stop short of its caps never
+        needs it: a letter can simply get no more copies.
         """
-        adj, nonadj = self.adj, self.nonadj
+        full, adj, nonadj, rem, word = self.full, self.adj, self.nonadj, self.rem, self.word
+        before, broken = [0] * len(rem), [0] * len(rem)
+        low = sum(1 << x for x, r in enumerate(rem) if r < 2)
+        spent = sum(1 << x for x, r in enumerate(rem) if not r)
+        placed = blocked = 0
+        loose = self.loose
         stack = []
         while True:
             budget.tick()
             if done():
                 return True
-            barred = bar(self)
-            before, broken, low = self.before, self.broken, self.low
-            moves = 0
-            for x, r in enumerate(self.rem):
-                if not r or adj[x] & before[x] or barred >> x & 1:
-                    continue
-                if r == 1 and nonadj[x] & low & ~(broken[x] | before[x]):
-                    continue
-                moves |= 1 << x
+            moves = full & ~(spent | blocked | bar(self))
+            for x in _bits(moves & low & loose):
+                if nonadj[x] & low & ~(broken[x] | before[x]):
+                    moves ^= 1 << x
             while not moves:
                 if not stack:
                     return False
-                x, moves, undo = stack.pop()
-                self.unplace(x, undo)
-            x = (moves & -moves).bit_length() - 1
-            stack.append((x, moves & moves - 1, self.place(x)))
+                x, moves, before, broken, low, spent, placed, blocked, loose = stack.pop()
+                self.placed, self.loose = placed, loose
+                rem[x] += 1
+                word.pop()
+            bit = moves & -moves
+            x = bit.bit_length() - 1
+            stack.append((x, moves ^ bit, before, broken, low, spent, placed, blocked, loose))
+            new = before[x] & nonadj[x] & ~broken[x]
+            if new:  # x follows x in these pairs' projections
+                broken = broken[:]
+                broken[x] |= new
+                if broken[x] == nonadj[x]:
+                    loose ^= bit
+                for y in _bits(new):
+                    broken[y] |= bit
+                    if broken[y] == nonadj[y]:
+                        loose ^= 1 << y
+                self.loose = loose
+            keep = ~bit
+            before = [b & keep for b in before]
+            before[x] = full & keep
+            for y in _bits(adj[x] & blocked):
+                if not adj[y] & before[y]:
+                    blocked ^= 1 << y
+            if adj[x]:
+                blocked |= bit
+            placed |= bit
+            self.placed = placed
+            rem[x] -= 1
+            if rem[x] < 2:
+                low |= bit
+                if not rem[x]:
+                    spent |= bit
+            word.append(x + 1)
 
 
 def _symmetry_bar(g):
@@ -335,6 +346,9 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     """
     t = as_pattern(t)
     caps, complete = multiplicity_caps(g, t)
+    detail = {"caps": caps, "exhaustive": complete, "pattern": t}
+    if g.n == 0:  # the empty word, which no word graph check accepts
+        return SearchOutcome(WITNESS, (), 0, 0.0, detail)
     budget = _Budget(max_nodes, max_seconds)
     state = _PairState(g, [caps[v] for v in g.vertices()])
     # a non-edge stops alternating only by xx or yy in its projection,
@@ -356,7 +370,7 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
         kernel,
         budget,
         lambda w: word_to_graph(w) == g and not contains_pattern(w, t),
-        {"caps": caps, "exhaustive": complete, "pattern": t},
+        detail,
     )
 
 
@@ -388,9 +402,10 @@ def count_pattern_avoiding_representants(g, t, max_len):
 # -- representation by concatenations of permutations ---------------------------
 
 
-def permutational_representation_number(g, max_p=3):
+def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=None):
     """Least p such that a concatenation of p permutations of the vertices
-    represents g, or a refutation up to max_p.
+    represents g, or a refutation up to max_p.  `max_nodes` and
+    `max_seconds` bound the search over every p.
 
     A pair alternates in such a concatenation exactly when every permutation
     orders it the same way, so the permutations must be linear extensions of
@@ -406,6 +421,7 @@ def permutational_representation_number(g, max_p=3):
     """
     if max_p < 1:
         raise ValueError("max_p must be at least 1")
+    budget = _Budget(max_nodes, max_seconds)
     if g.n > PERMUTATION_CEILING:
         raise CeilingExceeded(f"permutation search supports n <= {PERMUTATION_CEILING}")
     n = g.n
@@ -427,7 +443,6 @@ def permutational_representation_number(g, max_p=3):
         and pred[a] & ~pred[b] == 0
         and succ[b] & ~succ[a] == 0
     ]
-    budget = _Budget()
     detail = {"max_p": max_p}
 
     def realize(exts, p):

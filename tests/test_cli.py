@@ -191,6 +191,23 @@ def test_perm_repnum(capsys):
     assert code == 0 and payload["perm_repnum"] == 4
 
 
+def test_perm_repnum_budget_exits_3(capsys):
+    # 27 nodes settle the crown on 6 + 6 vertices
+    payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "27")
+    assert code == 0 and payload["perm_repnum"] == 6
+    for limit in (["--max-nodes", "5"], ["--max-seconds", "0"]):
+        payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", *limit)
+        assert code == 3 and payload["verdict"] is None, limit
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_represent_null_graph_avoiding_a_pattern(capsys):
+    for pattern in ("132", "123"):
+        payload, code = run(capsys, "represent", "family:empty:0", "--pattern", pattern)
+        assert code == 0 and payload["verdict"] is True and payload["witness_word"] == ""
+        assert payload["caps"] == {} and payload["refutation_complete"] is True
+
+
 def test_family(capsys):
     payload, code = run(capsys, "family", "wheel:5")
     assert code == 0 and payload["n"] == 6

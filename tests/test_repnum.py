@@ -23,6 +23,7 @@ from wordrep.orientation import _decide, find_transitive
 from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
+    _PairState,
     _occurrence_mask,
     _representation,
     _symmetry_bar,
@@ -209,6 +210,16 @@ def test_pattern_witnesses_verified():
             assert all(out.witness.count(c) <= 2 for c in set(out.witness))
 
 
+def test_pattern_search_accepts_the_null_graph():
+    # the empty word, as the uniform search and the count give the null graph
+    for t in ((1, 3, 2), (1, 2, 3)):
+        out = find_pattern_avoiding_word(Graph(0), t)
+        assert out.found and out.witness == () and out.nodes_expanded == 0
+        assert out.detail == {"caps": {}, "exhaustive": True, "pattern": t}
+    assert find_k_uniform_word(Graph(0), 2).witness == ()
+    assert count_pattern_avoiding_representants(Graph(0), (1, 3, 2), 3) == 1
+
+
 def test_prisms_not_132_representable():
     out = find_pattern_avoiding_word(families.prism(3), (1, 3, 2))
     assert out.refuted and out.detail["exhaustive"]
@@ -315,6 +326,19 @@ def test_perm_number_two_matches_brute_force():
             out = permutational_representation_number(g, max_p=2)
             mine = out.found and out.detail["permutations"] <= 2
             assert mine == (frozenset(g.edges()) in two), g
+
+
+def test_perm_number_budget():
+    # the crown on 6 + 6 vertices needs 6 permutations, found in 27 nodes
+    crown = families.crown(6)
+    out = permutational_representation_number(crown, max_p=6, max_nodes=27)
+    assert out.found and out.detail["permutations"] == 6 and out.nodes_expanded == 27
+    for limits in ({"max_nodes": 26}, {"max_nodes": 5}, {"max_seconds": 0}):
+        out = permutational_representation_number(crown, max_p=6, **limits)
+        assert out.status == "budget_exhausted" and out.witness is None, limits
+    for limits in ({"max_nodes": -1}, {"max_seconds": -1.0}):
+        with pytest.raises(ValueError):
+            permutational_representation_number(crown, **limits)
 
 
 def test_perm_ceiling():
@@ -876,7 +900,135 @@ def test_representation_matches_the_reference():
     assert stops[0] == stops[1]
 
 
-# -- permutation representation -------------------------------------------------
+# `_PairState` as it was while each node looped over every letter for its
+# moves and called `place` and `unplace`, kept verbatim apart from its name
+# and docstrings.
+
+
+class _ReferencePairState:
+    def __init__(self, g, caps):
+        self.full = (1 << g.n) - 1
+        self.adj = g.adj
+        self.nonadj = [self.full & ~(a | 1 << x) for x, a in enumerate(g.adj)]
+        self.unbroken = sum(m.bit_count() for m in self.nonadj) // 2
+        self.rem = list(caps)
+        self.low = sum(1 << x for x, c in enumerate(caps) if c < 2)
+        self.before = [0] * g.n
+        self.broken = [0] * g.n
+        self.placed = 0
+        self.word = []  # 1-indexed letters, so pattern checks read naturally
+
+    def place(self, x):
+        bit = 1 << x
+        before, broken = self.before, self.broken
+        undo = (before, broken, self.placed, self.low, self.unbroken)
+        new = before[x] & self.nonadj[x] & ~broken[x]
+        if new:  # x follows x in these pairs' projections
+            broken = broken[:]
+            broken[x] |= new
+            for y in _bits(new):
+                broken[y] |= bit
+            self.broken = broken
+            self.unbroken -= new.bit_count()
+        keep = ~bit
+        before = [b & keep for b in before]
+        before[x] = self.full & keep
+        self.before = before
+        self.placed |= bit
+        self.rem[x] -= 1
+        if self.rem[x] < 2:
+            self.low |= bit
+        self.word.append(x + 1)
+        return undo
+
+    def unplace(self, x, undo):
+        self.before, self.broken, self.placed, self.low, self.unbroken = undo
+        self.rem[x] += 1
+        self.word.pop()
+
+    def is_witness(self):
+        return self.placed == self.full and not self.unbroken
+
+    def walk(self, budget, bar, done):
+        adj, nonadj = self.adj, self.nonadj
+        stack = []
+        while True:
+            budget.tick()
+            if done():
+                return True
+            barred = bar(self)
+            before, broken, low = self.before, self.broken, self.low
+            moves = 0
+            for x, r in enumerate(self.rem):
+                if not r or adj[x] & before[x] or barred >> x & 1:
+                    continue
+                if r == 1 and nonadj[x] & low & ~(broken[x] | before[x]):
+                    continue
+                moves |= 1 << x
+            while not moves:
+                if not stack:
+                    return False
+                x, moves, undo = stack.pop()
+                self.unplace(x, undo)
+            x = (moves & -moves).bit_length() - 1
+            stack.append((x, moves & moves - 1, self.place(x)))
+
+
+def _visits(state_class, g, caps, bar, stop):
+    """The words on which a walk over g within `caps` calls `done`, in
+    order and each with whether it is a witness, then the walk's node
+    count, its verdict and the word it leaves; `stop(state)` is the
+    search's own test of a finished word."""
+    state = state_class(g, caps)
+    budget = _Budget()
+    words = []
+
+    def done():
+        words.append((tuple(state.word), state.is_witness()))
+        return stop(state)
+
+    found = state.walk(budget, bar, done)
+    return words, budget.nodes, found, tuple(state.word)
+
+
+def _assert_same_visits(g, caps, make_bar, stop):
+    expected = _visits(_ReferencePairState, g, caps, make_bar(), stop)
+    assert _visits(_PairState, g, caps, make_bar(), stop) == expected, (g, caps)
+    return expected[1]
+
+
+def test_walk_visits_the_words_of_the_reference_walk():
+    # the same words reach `done` in the same order, so the same node
+    # counts, witnesses and counts follow in every search on the walk: the
+    # uniform search on every graph up to 6 vertices, the pattern searches
+    # up to 5 and the pattern counts up to 3, each labeled three ways
+    rng = random.Random(6)
+    nodes = 0
+    for g in _graphs_and_relabelings(rng):
+        for k in (1, 2, 3):
+            length = g.n * k
+            nodes += _assert_same_visits(
+                g, [k] * g.n, lambda: _symmetry_bar(g), lambda s: len(s.word) == length
+            )
+        if g.n == 6:  # about a million pattern nodes more
+            continue
+        for t in ((1, 3, 2), (1, 2, 3)):
+            caps = multiplicity_caps(g, t)[0]
+            nodes += _assert_same_visits(
+                g,
+                [caps[v] for v in g.vertices()],
+                lambda: lambda s: _occurrence_mask(s.word, t, g.n),
+                lambda s: s.is_witness(),
+            )
+            if g.n < 4:
+                for max_len in range(2 * g.n + 1):
+                    nodes += _assert_same_visits(
+                        g,
+                        [max_len] * g.n,
+                        lambda: lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
+                        lambda s: False,
+                    )
+    assert nodes > 100_000
 #
 # `permutational_representation_number` as it was before it became a poset
 # dimension search, kept verbatim apart from its name: every first
