@@ -347,7 +347,7 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     t = as_pattern(t)
     caps, complete = multiplicity_caps(g, t)
     detail = {"caps": caps, "exhaustive": complete, "pattern": t}
-    if g.n == 0:  # the empty word, which no word graph check accepts
+    if g.n == 0:  # the empty word, which `word_to_graph` rejects
         return SearchOutcome(WITNESS, (), 0, 0.0, detail)
     budget = _Budget(max_nodes, max_seconds)
     state = _PairState(g, [caps[v] for v in g.vertices()])
