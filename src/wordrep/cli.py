@@ -222,13 +222,15 @@ def cmd_perm_repnum(args):
     outcome = permutational_representation_number(
         g, max_p=args.max_p, **_budget_kw(args)
     ).require_conclusive()
+    stats = stats_payload(outcome)
     if outcome.found:
         return {
             "perm_repnum": outcome.detail["permutations"],
             "verdict": True,
             "witness_word": format_word(outcome.witness),
+            "stats": stats,
         }, EXIT_OK
-    return {"perm_repnum": None, "verdict": False, "max_p": args.max_p}, EXIT_NEGATIVE
+    return {"perm_repnum": None, "verdict": False, "max_p": args.max_p, "stats": stats}, EXIT_NEGATIVE
 
 
 def cmd_family(args):
@@ -300,7 +302,7 @@ def cmd_enumerate(args):
 def cmd_pattern_count(args):
     g = parse_graph(args.graph)
     count = count_pattern_avoiding_representants(
-        g, parse_word(args.pattern), args.max_len
+        g, parse_word(args.pattern), args.max_len, **_budget_kw(args)
     )
     return {"count": count}, EXIT_OK
 
@@ -400,6 +402,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--pattern", required=True)
     p.add_argument("--max-len", type=int, required=True)
+    budget_flags(p)
     p.set_defaults(func=cmd_pattern_count)
 
     return top

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import CANONICAL_CEILING, CeilingExceeded, automorphisms, _bits
+from .graphs import CANONICAL_CEILING, automorphisms, _bits
 from .orientation import _comparability, _decide
 from .outcome import (
     REFUTED,
@@ -44,7 +44,6 @@ from .outcome import (
 )
 from .words import as_pattern, contains_pattern, word_to_graph
 
-PERMUTATION_CEILING = 12
 AUTOMORPHISM_CAP = 2048
 
 
@@ -374,15 +373,17 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     )
 
 
-def count_pattern_avoiding_representants(g, t, max_len):
+def count_pattern_avoiding_representants(g, t, max_len, max_nodes=None, max_seconds=None):
     """Exact number of t-avoiding words of length <= max_len representing the
     labeled graph g: the witnesses of a walk that bars every letter at
-    max_len and otherwise the letters completing an occurrence of t."""
+    max_len and otherwise the letters completing an occurrence of t.
+
+    `max_nodes` and `max_seconds` are the count's only limit: the walk keeps
+    its own stack, and `BudgetExhausted` is raised once they are spent."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
-    if max(g.n, 2) ** max_len > 10**8:  # on K1 the walk still takes a node per letter
-        raise CeilingExceeded("alphabet**length too large for exhaustive count")
+    budget = _Budget(max_nodes, max_seconds)
     state = _PairState(g, [max_len] * g.n)
     count = 0
 
@@ -391,12 +392,16 @@ def count_pattern_avoiding_representants(g, t, max_len):
         count += state.is_witness()
         return False
 
-    state.walk(
-        _Budget(),
-        lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
-        done,
-    )
-    return count
+    def kernel():
+        state.walk(
+            budget,
+            lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
+            done,
+        )
+        return count
+
+    # a count has no witness to check
+    return run_search(kernel, budget, lambda count: True).require_conclusive().witness
 
 
 # -- representation by concatenations of permutations ---------------------------
@@ -405,7 +410,9 @@ def count_pattern_avoiding_representants(g, t, max_len):
 def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=None):
     """Least p such that a concatenation of p permutations of the vertices
     represents g, or a refutation up to max_p.  `max_nodes` and
-    `max_seconds` bound the search over every p.
+    `max_seconds` bound the search over every p, and are its only limit:
+    the search keeps its own stack, so neither the order's size nor its
+    number of critical pairs is capped.
 
     A pair alternates in such a concatenation exactly when every permutation
     orders it the same way, so the permutations must be linear extensions of
@@ -422,8 +429,6 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
     if max_p < 1:
         raise ValueError("max_p must be at least 1")
     budget = _Budget(max_nodes, max_seconds)
-    if g.n > PERMUTATION_CEILING:
-        raise CeilingExceeded(f"permutation search supports n <= {PERMUTATION_CEILING}")
     n = g.n
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
@@ -445,39 +450,46 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
     ]
     detail = {"max_p": max_p}
 
-    def realize(exts, p):
-        """Grow `exts`, extensions of P as (succ, pred) masks of closed
-        orders, to at most p that reverse every critical pair, or None."""
-        budget.tick()
-        best = None
-        for a, b in pairs:
-            if any(up[b] >> a & 1 for up, _ in exts):
-                continue
-            # b->a keeps an extension acyclic unless it holds a->b; unused
-            # extensions are all P, so only the first of them is tried
-            options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
-            if len(exts) < p:
-                options.append(len(exts))
-            if best is None or len(options) < len(best[2]):
-                best = (a, b, options)
-        if best is None:
-            return exts
-        a, b, options = best
-        for i in options:
+    def realize(p):
+        """At most p extensions of P, as (succ, pred) masks of closed
+        orders, that reverse every critical pair, or None.
+
+        A depth-first search over its own stack: each entry holds a node's
+        extensions, the pair it branches on and the options left to try."""
+        exts, stack = [], []
+        while True:
+            budget.tick()
+            best = None
+            for a, b in pairs:
+                if any(up[b] >> a & 1 for up, _ in exts):
+                    continue
+                # b->a keeps an extension acyclic unless it holds a->b; unused
+                # extensions are all P, so only the first of them is tried
+                options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
+                if len(exts) < p:
+                    options.append(len(exts))
+                if best is None or len(options) < len(best[2]):
+                    best = (a, b, options)
+            if best is None:
+                return exts
+            a, b, options = best
+            while not options:
+                if not stack:
+                    return None
+                exts, a, b, options = stack.pop()
+            i = options.pop(0)
+            stack.append((exts, a, b, options))
             up, down = map(list, exts[i] if i < len(exts) else (succ, pred))
             low, high = down[b] | 1 << b, up[a] | 1 << a
             for x in _bits(low):
                 up[x] |= high
             for y in _bits(high):
                 down[y] |= low
-            found = realize(exts[:i] + [(up, down)] + exts[i + 1 :], p)
-            if found is not None:
-                return found
-        return None
+            exts = exts[:i] + [(up, down)] + exts[i + 1 :]
 
     def kernel():
         for p in range(1, max_p + 1):
-            exts = realize([], p)
+            exts = realize(p)
             if exts is not None:
                 detail["permutations"] = p
                 # extensions left unused are P itself; in a closed order,

@@ -143,8 +143,8 @@ def contains_pattern(w, pattern):
 
     Order-isomorphic means the matched letters compare exactly as the
     pattern letters do, including equalities.  A pattern of length 3 takes
-    one pass over the word; a longer one tries subsequences by recursion,
-    one frame per pattern letter.
+    one pass over the word; a longer one tries subsequences by backtracking
+    over its own stack of matched positions, so it does not recurse.
     """
     w = tuple(w)
     t = as_pattern(pattern)
@@ -153,27 +153,20 @@ def contains_pattern(w, pattern):
         return False
     if m == 3:
         return _contains_three(w, t)
-
-    def match(ti, start, chosen):
-        if ti == m:
-            return True
-        for i in range(start, len(w) - (m - ti) + 1):
-            c = w[i]
-            ok = True
-            for tj in range(ti):
-                a, b = t[tj], t[ti]
-                x = chosen[tj]
-                if (a < b) != (x < c) or (a == b) != (x == c):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(c)
-                if match(ti + 1, i + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return match(0, 0, [])
+    chosen = []  # the positions matched to t[0], t[1], ...
+    i = 0  # the next position to try for t[len(chosen)]
+    while len(chosen) < m:
+        ti = len(chosen)
+        if i > len(w) - (m - ti):
+            if not chosen:
+                return False
+            i = chosen.pop() + 1
+            continue
+        c, b = w[i], t[ti]
+        if all((a < b) == (w[j] < c) and (a == b) == (w[j] == c) for a, j in zip(t, chosen)):
+            chosen.append(i)
+        i += 1
+    return True
 
 
 def _sign(x, y):

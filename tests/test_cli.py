@@ -189,12 +189,16 @@ def test_perm_repnum(capsys):
     assert code == 1 and payload["perm_repnum"] is None
     payload, code = run(capsys, "perm-repnum", "family:crown:4", "--max-p", "4")
     assert code == 0 and payload["perm_repnum"] == 4
+    # a refutation reports its nodes too: p + 1 for each p up to 3
+    payload, code = run(capsys, "perm-repnum", "family:crown:4", "--max-p", "3")
+    assert code == 1 and payload["stats"]["nodes_expanded"] == 9
 
 
 def test_perm_repnum_budget_exits_3(capsys):
-    # 27 nodes settle the crown on 6 + 6 vertices
+    # 27 nodes settle the crown on 6 + 6 vertices, as its stats say
     payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "27")
     assert code == 0 and payload["perm_repnum"] == 6
+    assert payload["stats"]["nodes_expanded"] == 27 and payload["stats"]["exhaustive"]
     for limit in (["--max-nodes", "5"], ["--max-seconds", "0"]):
         payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", *limit)
         assert code == 3 and payload["verdict"] is None, limit
@@ -283,11 +287,18 @@ def test_pattern_count_negative_length_exits_2(capsys):
     assert json.loads(captured.err)["error"] == "max_len must be non-negative"
 
 
-def test_pattern_count_on_k1_past_the_ceiling_exits_2(capsys):
-    argv = ["pattern-count", "family:complete:1", "--pattern", "132", "--max-len", "1000"]
+def test_pattern_count_has_no_size_ceiling(capsys):
+    # K1 up to 1,000 letters once exited 2 on a size guard; the budget
+    # flags alone stop the count now
+    payload, code = run(capsys, "pattern-count", "family:complete:1", "--pattern", "132", "--max-len", "1000")
+    assert code == 0 and payload["count"] == 1000
+    argv = [
+        "pattern-count", "family:complete:9", "--pattern", "132", "--max-len", "12",
+        "--max-nodes", "10000",
+    ]
     code, text = _main_quietly(argv)
-    assert code == 2 and "Traceback" not in text
-    assert json.loads(text)["error"] == "alphabet**length too large for exhaustive count"
+    assert code == 3 and "Traceback" not in text
+    assert json.loads(text)["verdict"] is None
 
 
 @pytest.mark.parametrize(
@@ -298,6 +309,7 @@ def test_pattern_count_on_k1_past_the_ceiling_exits_2(capsys):
         (["repnum", "family:complete:200"], 0),
         (["represent", "family:path:19"], 0),
         (["repnum", "family:cycle:20", "--max-nodes", "20000"], 3),
+        (["perm-repnum", "family:path:80"], 0),
     ],
 )
 def test_graphs_past_twelve_vertices(argv, code):
@@ -308,6 +320,8 @@ def test_graphs_past_twelve_vertices(argv, code):
         assert payload["stats"]["nodes_expanded"] == 1036
     if argv[1] == "family:complete:200":
         assert payload["repnum"] == 1
+    if argv[0] == "perm-repnum":
+        assert payload["perm_repnum"] == 2 and payload["stats"]["nodes_expanded"] == 1526
     if argv[0] == "represent":
         word = payload["witness_word"]
         assert payload["k"] == 2 and len(parse_word(word)) == 38
@@ -605,6 +619,8 @@ _SCHEMA = json.loads(
         ["enumerate", "5", "--list", "--count-nonrep", "--minimal"],
         ["represent", "family:petersen", "--max-nodes", "100"],  # budget exhausted
         ["orient", "family:wheel:7", "--max-nodes", "1"],
+        ["perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "5"],
+        ["pattern-count", "family:complete:9", "--pattern", "132", "--max-len", "12", "--max-nodes", "10000"],
     ],
     ids=" ".join,
 )

@@ -93,14 +93,13 @@ def test_library_has_no_assert_statements():
 
 
 # Every function in the library that calls itself directly, with what bounds
-# its depth.  The searches that a budget bounds keep their own stacks instead.
-# The scan sees a call by the function's own name, or as `self.name` /
-# `cls.name`; mutual recursion and a call through an alias escape it.
+# its depth.  Every search keeps its own stack instead, and so does
+# `contains_pattern`; only `automorphisms`, which takes no budget and is
+# capped by CANONICAL_CEILING, recurses.  The scan sees a call by the
+# function's own name, or as `self.name` / `cls.name`; mutual recursion and
+# a call through an alias escape it.
 RECURSIVE = {
     "graphs.automorphisms.place",  # one frame per vertex, at most CANONICAL_CEILING
-    # one frame per critical pair reversed, at most n(n - 1) for n <= PERMUTATION_CEILING
-    "repnum.permutational_representation_number.realize",
-    "words.contains_pattern.match",  # one frame per pattern letter, patterns of length 4 or more
 }
 
 

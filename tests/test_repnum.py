@@ -19,8 +19,16 @@ from wordrep.graphs import (
     is_connected,
     max_clique_size,
 )
-from wordrep.orientation import _decide, find_transitive
-from wordrep.outcome import REFUTED, WITNESS, BudgetExhausted, SearchOutcome, _Budget, _OutOfBudget
+from wordrep.orientation import _comparability, _decide, find_transitive
+from wordrep.outcome import (
+    REFUTED,
+    WITNESS,
+    BudgetExhausted,
+    SearchOutcome,
+    _Budget,
+    _OutOfBudget,
+    run_search,
+)
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
     _PairState,
@@ -234,15 +242,14 @@ def test_count_fixtures():
     )
 
 
-def test_count_ceiling():
-    with pytest.raises(CeilingExceeded):
-        count_pattern_avoiding_representants(families.complete(9), (1, 3, 2), 12)
-    # n**max_len is at most 1 on K1 and the null graph, yet on K1 the
-    # walk takes a node per letter
-    for g in (families.complete(1), Graph(0)):
-        with pytest.raises(CeilingExceeded):
-            count_pattern_avoiding_representants(g, (1, 3, 2), 1000)
-    assert count_pattern_avoiding_representants(families.complete(1), (1, 3, 2), 26) == 26
+def test_count_has_no_size_ceiling():
+    # the budget alone stops the count: K1 once took a node per letter
+    # past a size guard, and complete(9) up to 12 letters takes 54,309
+    assert count_pattern_avoiding_representants(families.complete(1), (1, 3, 2), 1000) == 1000
+    assert count_pattern_avoiding_representants(Graph(0), (1, 3, 2), 1000) == 1
+    with pytest.raises(BudgetExhausted, match="after 10001 nodes"):
+        count_pattern_avoiding_representants(families.complete(9), (1, 3, 2), 12, max_nodes=10_000)
+    assert count_pattern_avoiding_representants(families.complete(4), (1, 3, 2), 7, max_nodes=10_000) == 27
 
 
 def test_count_rejects_negative_length():
@@ -341,9 +348,15 @@ def test_perm_number_budget():
             permutational_representation_number(crown, **limits)
 
 
-def test_perm_ceiling():
-    with pytest.raises(CeilingExceeded):
-        permutational_representation_number(families.empty(13))
+def test_perm_search_has_no_size_ceiling():
+    out = permutational_representation_number(families.empty(13))
+    assert _perm_number(out) == 2 and word_to_graph(out.witness) == families.empty(13)
+    # crown(20) has 40 vertices and 20 critical pairs to reverse: a search
+    # that recursed once per pair would run out of a stack of 50 frames
+    with shallow_stack():
+        out = permutational_representation_number(families.crown(20), max_p=20)
+    assert _perm_number(out) == 20 and out.nodes_expanded == 230
+    assert word_to_graph(out.witness) == families.crown(20)
     for max_p in (0, -1):
         with pytest.raises(ValueError, match="max_p must be at least 1"):
             permutational_representation_number(families.cycle(4), max_p=max_p)
@@ -1222,3 +1235,114 @@ def test_perm_number_crowns():
         assert _perm_number(out) == k and _represents(out.witness, g)
         assert out.nodes_expanded == sum(p + 1 for p in range(1, k + 1))
         assert permutational_representation_number(g, max_p=k - 1).refuted
+
+
+# `permutational_representation_number` as it was while `realize` called
+# itself once per critical pair reversed, kept verbatim apart from its name
+# and without its n <= 12 ceiling, which the crowns below pass.
+
+
+def reference_recursive_permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=None):
+    """Least p such that a concatenation of p permutations of the vertices
+    represents g, or a refutation up to max_p.  `max_nodes` and
+    `max_seconds` bound the search over every p.
+
+    A pair alternates in such a concatenation exactly when every permutation
+    orders it the same way, so the permutations must be linear extensions of
+    a transitive orientation P of g whose intersection is P (Kitaev & Seif):
+    only comparability graphs qualify, and p is the dimension of P, which is
+    the same for every transitive orientation of g.  A family of linear
+    extensions realizes P exactly when it reverses every critical pair
+    (a, b): a and b incomparable, every predecessor of a a predecessor of b,
+    and every successor of b a successor of a (Trotter, *Combinatorics and
+    Partially Ordered Sets*).  The search gives each critical pair one of p
+    extensions of P, each kept transitively closed, branching on the
+    unreversed pair that the fewest extensions can still take.
+    """
+    if max_p < 1:
+        raise ValueError("max_p must be at least 1")
+    budget = _Budget(max_nodes, max_seconds)
+    n = g.n
+    if n == 0:
+        return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
+    succ, _ = _comparability(g.adj)
+    if succ is None:
+        return SearchOutcome(REFUTED, None, 0, 0.0, {"max_p": max_p})
+    pred = [0] * n
+    for a in range(n):
+        for b in _bits(succ[a]):
+            pred[b] |= 1 << a
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and not g.adj[a] >> b & 1
+        and pred[a] & ~pred[b] == 0
+        and succ[b] & ~succ[a] == 0
+    ]
+    detail = {"max_p": max_p}
+
+    def realize(exts, p):
+        """Grow `exts`, extensions of P as (succ, pred) masks of closed
+        orders, to at most p that reverse every critical pair, or None."""
+        budget.tick()
+        best = None
+        for a, b in pairs:
+            if any(up[b] >> a & 1 for up, _ in exts):
+                continue
+            # b->a keeps an extension acyclic unless it holds a->b; unused
+            # extensions are all P, so only the first of them is tried
+            options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
+            if len(exts) < p:
+                options.append(len(exts))
+            if best is None or len(options) < len(best[2]):
+                best = (a, b, options)
+        if best is None:
+            return exts
+        a, b, options = best
+        for i in options:
+            up, down = map(list, exts[i] if i < len(exts) else (succ, pred))
+            low, high = down[b] | 1 << b, up[a] | 1 << a
+            for x in _bits(low):
+                up[x] |= high
+            for y in _bits(high):
+                down[y] |= low
+            found = realize(exts[:i] + [(up, down)] + exts[i + 1 :], p)
+            if found is not None:
+                return found
+        return None
+
+    def kernel():
+        for p in range(1, max_p + 1):
+            exts = realize([], p)
+            if exts is not None:
+                detail["permutations"] = p
+                # extensions left unused are P itself; in a closed order,
+                # x below y has more successors than y
+                return tuple(
+                    v + 1
+                    for up, _ in exts + [(succ, pred)] * (p - len(exts))
+                    for v in sorted(range(n), key=lambda v: -up[v].bit_count())
+                )
+        return None
+
+    return run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)
+
+
+def _comparable(out):
+    return out.status, out.witness, out.nodes_expanded, out.detail
+
+
+def test_perm_search_matches_the_recursive_reference():
+    # the same status, witness, node count and detail on every graph up to
+    # 7 vertices for p up to 4, and on crowns up to 24 vertices
+    cases = [(g, max_p) for g in atlas_graphs() for max_p in (1, 2, 3, 4)]
+    cases += [(families.crown(k), k) for k in range(2, 13)]
+    found = 0
+    for g, max_p in cases:
+        expected = _comparable(reference_recursive_permutational_representation_number(g, max_p))
+        assert _comparable(permutational_representation_number(g, max_p)) == expected, (g, max_p)
+        found += expected[0] == WITNESS
+    assert 0 < found < len(cases)
+

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_word_graph, words_over
+from conftest import brute_force_word_graph, shallow_stack, words_over
 from wordrep import families
 from wordrep.graphs import Graph, delete_vertex
 from wordrep.words import (
@@ -283,3 +283,36 @@ def test_length_three_check_is_linear_on_long_words():
     w = tuple(x for v in range(1, 1001) for x in (v, v))[1:]
     assert avoids_pattern(w, (1, 3, 2)) and avoids_pattern(w[::-1], (1, 2, 3))
     assert contains_pattern(w + (2,), (1, 3, 2))
+
+
+def test_longer_patterns_match_the_subsequence_search():
+    import random
+
+    patterns = [
+        t
+        for m in (1, 2, 4, 5)
+        for t in itertools.product(range(1, m + 1), repeat=m)
+        if set(t) == set(range(1, max(t) + 1))
+    ]
+    assert len(patterns) == 1 + 3 + 75 + 541
+    rng = random.Random(32)
+    found = 0
+    for _ in range(150):
+        letters = rng.sample(range(1, 100), rng.randint(1, 5))
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 10)))
+        for t in patterns:
+            expect = reference_contains_pattern(w, t)
+            assert contains_pattern(w, t) == expect, (w, t)
+            found += expect
+    assert 0 < found < 150 * len(patterns)
+
+
+def test_long_patterns_keep_no_stack_per_letter():
+    # a 1,000-letter pattern: a search that recursed once per pattern
+    # letter would run out of a stack of 50 frames
+    t = tuple(range(1, 1001))
+    with shallow_stack():
+        assert contains_pattern(t, t)
+        assert avoids_pattern(t[::-1], t)
+        # one swapped pair fails at letter 500 and backs out of every entry
+        assert avoids_pattern(t[:499] + (t[500], t[499]) + t[501:], t)
