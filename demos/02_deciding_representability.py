@@ -1,8 +1,10 @@
 """Deciding word-representability via semi-transitive orientations.
 
 A graph is word-representable exactly when it has an acyclic orientation in
-which no arc shortcuts a longer directed path non-transitively.  The search
-below either produces such an orientation or exhaustively refutes one.
+which no arc shortcuts a longer directed path non-transitively.
+`find_semi_transitive` either produces such an orientation or refutes one,
+and names the route that settled it: a transitive orientation, a
+neighborhood that is not a comparability graph, or the exhaustive search.
 """
 
 from wordrep import (
@@ -10,7 +12,6 @@ from wordrep import (
     is_semi_transitive,
     is_word_representable,
     line_graph,
-    neighborhood_filter,
     orientation_from_coloring,
     three_color,
     word_to_orientation,
@@ -26,13 +27,14 @@ print()
 # the 5-wheel is the smallest graph with no such orientation
 w5 = families.wheel(5)
 out = find_semi_transitive(w5)
-print(f"W5: {out.status} after {out.nodes_expanded} nodes")
-print("failing neighborhood vertex (hub sees an odd cycle):", neighborhood_filter(w5))
+print(f"W5: {out.status} by the {out.detail['route']} route")
+print("failing neighborhood vertex (hub sees an odd cycle):", out.detail["vertex"])
 print()
 
 pet = families.petersen()
 out = find_semi_transitive(pet)
-print(f"Petersen: {out.status}; witness arcs: {out.witness.arcs()[:6]} ...")
+print(f"Petersen: {out.status} by the {out.detail['route']} route "
+      f"in {out.nodes_expanded} nodes; witness arcs: {out.witness.arcs()[:6]} ...")
 print()
 
 # 3-colorable graphs are always representable: color classes orient the edges

@@ -167,7 +167,8 @@ def cmd_decide(args):
 def cmd_orient(args):
     g = parse_graph(args.graph)
     outcome = find_semi_transitive(g, **_budget_kw(args)).require_conclusive()
-    payload = {"verdict": outcome.found, "stats": stats_payload(outcome)}
+    # the route that settled the verdict, and a filter refutation's vertex
+    payload = {"verdict": outcome.found, "stats": {**stats_payload(outcome), **outcome.detail}}
     if outcome.found:
         payload["witness_orientation"] = orientation_payload(outcome.witness)
         if args.format == "dot":

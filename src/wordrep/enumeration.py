@@ -27,8 +27,8 @@ from .graphs import (
     _bits,
     _from_masks,
 )
-from .orientation import _decide, is_word_representable
-from .outcome import BudgetExhausted, _Budget, _check_limits
+from .orientation import find_semi_transitive, is_word_representable
+from .outcome import BudgetExhausted, _check_limits
 
 GENERATION_CEILING = 9
 FINAL_VERDICTS = ("representable", "non_representable")
@@ -187,7 +187,7 @@ def decide_graph(task):
     "non_representable", or "budget" when inconclusive.
     """
     key, adj, max_nodes, max_seconds = task
-    outcome = _decide(_from_masks(len(adj), adj), _Budget(max_nodes, max_seconds))
+    outcome = find_semi_transitive(_from_masks(len(adj), adj), max_nodes, max_seconds)
     if not outcome.conclusive:
         return key, "budget", outcome.nodes_expanded
     verdict = "representable" if outcome.found else "non_representable"

@@ -597,19 +597,25 @@ def automorphisms(g, limit=None):
     first = orderings[0]
     perm = [0] * n
     out = []
-
-    def place(order, i, unused):
-        """Map first[i:] onto twins of order[i:]; True once `limit` is reached."""
-        if i == n:
-            out.append(tuple(perm))
-            return len(out) == limit
-        for v in _bits(mates[order[i]] & unused):
-            perm[first[i]] = v
-            if place(order, i + 1, unused & ~(1 << v)):
-                return True
-        return False
-
     for order in orderings:
-        if place(order, 0, (1 << n) - 1):
-            break
+        # depth first, mapping first[i] to each unused twin of order[i] in
+        # increasing order; rest[i] holds the twins left to try at position i
+        rest, unused, i = [], (1 << n) - 1, 0
+        while True:
+            left = mates[order[i]] & unused if i < n else 0
+            if i == n:
+                out.append(tuple(perm))
+                if len(out) == limit:
+                    return out
+            while not left and rest:  # back up to a position with a twin left
+                i -= 1
+                unused |= 1 << perm[first[i]]
+                left = rest.pop()
+            if not left:
+                break
+            v = (left & -left).bit_length() - 1
+            perm[first[i]] = v
+            unused &= ~(1 << v)
+            rest.append(left & (left - 1))
+            i += 1
     return out

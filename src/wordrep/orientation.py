@@ -22,8 +22,8 @@ counts implication classes.  A transitive orientation is semi-transitive,
 so a comparability graph is decided by its TRO witness alone.  Every
 neighborhood of a word-representable graph is a comparability graph, which
 gives the fast necessary test `neighborhood_filter`.  The decision
-procedure `_decide` takes these routes in turn: comparability, then the
-filter, then the search.
+procedure `find_semi_transitive` takes these routes in turn:
+comparability, then the filter, then the search.
 """
 
 from __future__ import annotations
@@ -352,34 +352,6 @@ class _OrientSearch:
                     pred[y] &= ~(1 << x)
 
 
-def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
-    """Search for a semi-transitive orientation of g.
-
-    Returns a witness Orientation, an exhaustive refutation, or, once the
-    budget runs out, `budget_exhausted`: the budget is the only limit, as
-    there is no size ceiling.  A refutation is exhaustive over the
-    orientations with the root edge one way; reversing every arc covers the
-    rest, since the reverse of a semi-transitive orientation is
-    semi-transitive.  A caller that runs several searches under one limit
-    passes its `_Budget` as `budget`, which then replaces `max_nodes` and
-    `max_seconds`.
-    """
-    if g.m == 0:
-        return SearchOutcome(WITNESS, Orientation._from_succ(g, [0] * g.n), 0, 0.0)
-    if budget is None:
-        budget = _Budget(max_nodes, max_seconds)
-
-    def kernel():
-        succ = _OrientSearch(g, budget).search()
-        return None if succ is None else Orientation._from_succ(g, succ)
-
-    return run_search(
-        kernel,
-        budget,
-        lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
-    )
-
-
 # -- transitive orientations (comparability) ----------------------------------
 
 
@@ -487,35 +459,48 @@ def neighborhood_filter(g):
     return None
 
 
-def _decide(g, budget):
-    """The decision procedure, as one outcome whose `detail["route"]` names
-    the route that settled it:
+def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
+    """Decide word-representability: a semi-transitive orientation of g or a
+    refutation, whose `detail["route"]` names the route that settled it:
 
     - "comparability": TRO's transitive orientation, checked by
-      `_comparability`, is the witness, since a transitive orientation is
-      semi-transitive; neither the filter nor the search runs;
+      `_comparability`, is the witness (a transitive orientation is
+      semi-transitive); neither the filter nor the search runs;
     - "filter": some neighborhood (its vertex in `detail["vertex"]`) is not
       a comparability graph, a refutation with no search nodes;
-    - "search": the semi-transitive orientation search under `budget`.
+    - "search": the orientation search decides, or runs out of the budget.
+      Its refutations are exhaustive over the orientations with the root
+      edge one way, and reversal covers the rest.
 
-    No route has a size ceiling: TRO and the filter are polynomial and
-    decide at any size, and the search stops only at a verdict or when
-    `budget` runs out.
+    TRO and the filter are polynomial and take no budget; no route has a
+    size ceiling.  A caller that runs several searches under one limit
+    passes its `_Budget` as `budget`, which then replaces `max_nodes` and
+    `max_seconds`.
     """
+    if budget is None:
+        budget = _Budget(max_nodes, max_seconds)
     tro = find_transitive(g)
     if tro.found:
         return replace(tro, detail={"route": "comparability"})
     v = neighborhood_filter(g)
     if v is not None:
         return SearchOutcome(REFUTED, detail={"route": "filter", "vertex": v})
-    return replace(find_semi_transitive(g, budget=budget), detail={"route": "search"})
+
+    def kernel():
+        succ = _OrientSearch(g, budget).search()
+        return None if succ is None else Orientation._from_succ(g, succ)
+
+    return run_search(
+        kernel,
+        budget,
+        lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
+        {"route": "search"},
+    )
 
 
 def is_word_representable(g, max_nodes=None, max_seconds=None):
-    """Decide word-representability: a transitive orientation settles a
-    comparability graph, else a failing neighborhood refutes it, else the
-    full semi-transitive orientation search decides."""
-    return _decide(g, _Budget(max_nodes, max_seconds)).require_conclusive().found
+    """Whether g is word-representable, decided by `find_semi_transitive`."""
+    return find_semi_transitive(g, max_nodes, max_seconds).require_conclusive().found
 
 
 # -- 3-colorability route ------------------------------------------------------

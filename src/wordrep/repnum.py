@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .graphs import CANONICAL_CEILING, automorphisms, _bits
-from .orientation import _comparability, _decide
+from .orientation import _comparability, find_semi_transitive
 from .outcome import (
     REFUTED,
     WITNESS,
@@ -252,7 +252,7 @@ def _representation(g, budget):
     clique of c vertices: no lower than the theorem's bound, in n mask
     operations, where the exact clique number is exponential and takes no
     budget.  The `AssertionError` after the loop checks the theorem."""
-    if not _decide(g, budget).require_conclusive().found:
+    if not find_semi_transitive(g, budget=budget).require_conclusive().found:
         return math.inf, None
     bar = _symmetry_bar(g)
     clique = 0

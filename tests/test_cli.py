@@ -130,9 +130,17 @@ def test_orient_word(capsys):
 def test_orient(capsys):
     payload, code = run(capsys, "orient", "family:petersen", "--format", "dot")
     assert code == 0 and payload["verdict"] is True and "->" in payload["dot"]
+    assert payload["stats"]["route"] == "search" and "vertex" not in payload["stats"]
     payload, code = run(capsys, "orient", "family:wheel:5")
     assert code == 1 and payload["verdict"] is False
     assert payload["stats"]["exhaustive"] is True
+    # the filter refutes any wheel on an odd rim at its hub, with no search
+    payload, code = run(capsys, "orient", "family:wheel:31")
+    assert code == 1 and payload["verdict"] is False
+    stats = payload["stats"]
+    assert (stats["route"], stats["vertex"], stats["nodes_expanded"]) == ("filter", 32, 0)
+    payload, code = run(capsys, "orient", "family:crown:30")
+    assert code == 0 and payload["stats"]["route"] == "comparability"
 
 
 def test_represent(capsys):
@@ -317,7 +325,10 @@ def test_graphs_past_twelve_vertices(argv, code):
     assert got == code and "Traceback" not in text, text
     payload = json.loads(text)
     if argv[0] == "orient":
-        assert payload["stats"]["nodes_expanded"] == 1036
+        # the filter refutes W13 at its hub; the search alone took 1,036
+        # nodes (test_decide_past_twelve_vertices)
+        stats = payload["stats"]
+        assert (stats["route"], stats["vertex"], stats["nodes_expanded"]) == ("filter", 14, 0)
     if argv[1] == "family:complete:200":
         assert payload["repnum"] == 1
     if argv[0] == "perm-repnum":
@@ -335,7 +346,7 @@ def test_word_with_a_wide_gap_exits_2(capsys):
 
 
 def test_budget_exit_code(capsys):
-    payload, code = run(capsys, "orient", "family:wheel:7", "--max-nodes", "3")
+    payload, code = run(capsys, "orient", "family:petersen", "--max-nodes", "3")
     assert code == 3
 
 
@@ -542,6 +553,8 @@ _SWEEP_BASES = [
     ["orient-word", "1213423"],
     ["decide", "family:cycle:5"],
     ["orient", "family:cycle:5"],
+    ["orient", "family:wheel:31"],
+    ["orient", "family:crown:30"],
     ["represent", "family:cycle:5"],
     ["represent", "family:cycle:5", "--k", "2"],
     ["represent", "family:cycle:5", "--pattern", "132"],
@@ -618,7 +631,7 @@ _SCHEMA = json.loads(
         *(base for base in _SWEEP_BASES if not {"--pattern", "--k"} <= set(base)),
         ["enumerate", "5", "--list", "--count-nonrep", "--minimal"],
         ["represent", "family:petersen", "--max-nodes", "100"],  # budget exhausted
-        ["orient", "family:wheel:7", "--max-nodes", "1"],
+        ["orient", "family:petersen", "--max-nodes", "1"],
         ["perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "5"],
         ["pattern-count", "family:complete:9", "--pattern", "132", "--max-len", "12", "--max-nodes", "10000"],
     ],

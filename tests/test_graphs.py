@@ -645,6 +645,49 @@ def test_automorphisms_limit():
     assert automorphisms(Graph(0), 1) == [()]
 
 
+def reference_automorphisms(g, limit=None):
+    """`automorphisms` as it was when it recursed once per position,
+    verbatim apart from its name and its argument checks."""
+    n = g.n
+    _, earlier_twins, _, orderings = graphs._least_orderings(g)
+    mates = [1 << v | twins for v, twins in enumerate(earlier_twins)]  # v's twin class
+    for v, twins in enumerate(earlier_twins):
+        for u in _bits(twins):
+            mates[u] |= 1 << v
+    first = orderings[0]
+    perm = [0] * n
+    out = []
+
+    def place(order, i, unused):
+        """Map first[i:] onto twins of order[i:]; True once `limit` is reached."""
+        if i == n:
+            out.append(tuple(perm))
+            return len(out) == limit
+        for v in _bits(mates[order[i]] & unused):
+            perm[first[i]] = v
+            if place(order, i + 1, unused & ~(1 << v)):
+                return True
+        return False
+
+    for order in orderings:
+        if place(order, 0, (1 << n) - 1):
+            break
+    return out
+
+
+def test_automorphisms_match_the_recursive_search():
+    # the same automorphisms in the same order, so `limit` cuts at the same
+    # one: on every graph of at most 7 vertices and on a relabelling of each
+    rng = random.Random(17)
+    cases = [Graph(0)]
+    for n in range(1, 8):
+        for g in generate(n, connected=False):
+            cases += [g, relabel(g, tuple(rng.sample(range(n), n)))]
+    for g in cases:
+        for limit in (1, 2, 2048, None):
+            assert automorphisms(g, limit) == reference_automorphisms(g, limit), (g, limit)
+
+
 def test_automorphisms_capped_at_twelve_vertices():
     # each group has far more than 2048 members; the uniform search takes
     # the first 2048

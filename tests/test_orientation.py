@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import atlas_graphs, shallow_stack, words_over
 from wordrep import families, orientation
@@ -21,7 +22,6 @@ from wordrep.graphs import (
 )
 from wordrep.orientation import (
     Orientation,
-    _decide,
     _OrientSearch,
     _orients_each_edge_once,
     find_semi_transitive,
@@ -139,11 +139,27 @@ def test_find_semi_transitive_witness_verified():
     assert out.witness.graph == families.prism(4)
 
 
+def raw_search(g):
+    """(succ or None, nodes) of the orientation search alone, without the
+    comparability and filter routes."""
+    budget = _Budget()
+    succ = _OrientSearch(g, budget).search()
+    return (None if succ is None else tuple(succ)), budget.nodes
+
+
+def search_result(out):
+    """(succ or None, nodes) of an outcome, to compare with `raw_search`."""
+    return (out.witness.succ if out.found else None), out.nodes_expanded
+
+
 def test_find_semi_transitive_ceiling_and_budget():
-    out = find_semi_transitive(families.crown(7))
+    crown = families.crown(7)
+    out = find_semi_transitive(crown)
     assert out.found and is_semi_transitive(out.witness)
-    out = find_semi_transitive(families.wheel(7), max_nodes=5)
-    assert out.status == "budget_exhausted"
+    succ, _ = raw_search(crown)  # TRO settles the crown; the search takes it too
+    assert is_semi_transitive(Orientation._from_succ(crown, succ))
+    out = find_semi_transitive(families.petersen(), max_nodes=3)
+    assert out.status == "budget_exhausted" and out.detail == {"route": "search"}
     with pytest.raises(BudgetExhausted):
         out.require_conclusive()
 
@@ -197,7 +213,7 @@ def test_orients_each_edge_once():
 
 
 def test_decide_is_the_filter_then_the_search():
-    out = _decide(families.wheel(5), _Budget())
+    out = find_semi_transitive(families.wheel(5))
     assert out.refuted and out.nodes_expanded == 0
     for g in (
         families.petersen(),
@@ -206,37 +222,34 @@ def test_decide_is_the_filter_then_the_search():
         families.max_degree_four_counterexample(),
     ):
         assert neighborhood_filter(g) is None
-        out, search = _decide(g, _Budget()), find_semi_transitive(g)
-        assert (out.status, out.witness, out.nodes_expanded) == (
-            search.status,
-            search.witness,
-            search.nodes_expanded,
-        ), g
-    assert _decide(families.petersen(), _Budget(max_nodes=1)).status == "budget_exhausted"
-    assert _decide(families.empty(13), _Budget()).detail == {"route": "comparability"}
+        out = find_semi_transitive(g)
+        assert out.detail == {"route": "search"}, g
+        assert search_result(out) == raw_search(g), g
+    assert find_semi_transitive(families.petersen(), max_nodes=1).status == "budget_exhausted"
+    assert find_semi_transitive(families.empty(13)).detail == {"route": "comparability"}
 
 
 def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     filtered, searched = [], []
-    real_filter, real_search = orientation.neighborhood_filter, orientation.find_semi_transitive
+    real_filter, real_search = orientation.neighborhood_filter, orientation._OrientSearch
     monkeypatch.setattr(
         orientation, "neighborhood_filter", lambda g: filtered.append(g) or real_filter(g)
     )
     monkeypatch.setattr(
         orientation,
-        "find_semi_transitive",
-        lambda g, **kw: searched.append(g) or real_search(g, **kw),
+        "_OrientSearch",
+        lambda g, budget: searched.append(g) or real_search(g, budget),
     )
     for g in (families.crown(4), families.complete(6), families.path(7), families.empty(3)):
-        out, tro = _decide(g, _Budget()), find_transitive(g)
+        out, tro = find_semi_transitive(g), find_transitive(g)
         assert out.found and out.detail == {"route": "comparability"}
         assert (out.witness, out.nodes_expanded) == (tro.witness, tro.nodes_expanded)
         assert is_semi_transitive(out.witness)
     assert filtered == searched == []
-    out = _decide(families.wheel(5), _Budget())
+    out = find_semi_transitive(families.wheel(5))
     assert out.refuted and out.detail == {"route": "filter", "vertex": 6}
     assert filtered == [families.wheel(5)] and searched == []
-    out = _decide(families.prism(3), _Budget())
+    out = find_semi_transitive(families.prism(3))
     assert out.found and out.detail == {"route": "search"}
     assert searched == [families.prism(3)]
 
@@ -273,18 +286,42 @@ def test_graphs_below_five_vertices_are_comparability_graphs():
     assert [canonical_form(g) for g in failing] == [canonical_form(families.cycle(5))]
 
 
+@st.composite
+def _graphs_upto_10(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
 def test_decide_routes_agree_with_the_search():
     routes = set()
-    for g in atlas_graphs() + _random_connected(300, seed=13):
-        out = _decide(g, _Budget())
+
+    def check(g):
+        out = find_semi_transitive(g)
         routes.add(out.detail["route"])
-        assert out.found == find_semi_transitive(g).found, g
-        if out.detail["route"] == "comparability":
+        raw, tro = raw_search(g), find_transitive(g)
+        assert out.found == (raw[0] is not None), g
+        assert (out.detail["route"] == "comparability") == tro.found, g
+        if tro.found:
             assert is_semi_transitive(out.witness), g
+            assert out.witness == tro.witness, g
         elif out.detail["route"] == "filter":
             assert out.refuted and out.nodes_expanded == 0, g
             assert out.detail["vertex"] == neighborhood_filter(g), g
+        else:
+            assert search_result(out) == raw, g
+
+    for g in atlas_graphs() + _random_connected(300, seed=13):
+        check(g)
     assert routes == {"comparability", "filter", "search"}
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_graphs_upto_10())
+    def check_random(g):
+        check(g)
+
+    check_random()
 
 
 def test_comparability_has_no_ceiling():
@@ -328,13 +365,13 @@ def test_decide_past_twelve_vertices():
     ]
     for g, route, found, nodes in cases:
         assert g.n > 12
-        out = _decide(g, _Budget())
+        out = find_semi_transitive(g)
         assert (out.detail["route"], out.found) == (route, found), g
         if nodes is not None:
             assert out.nodes_expanded == nodes, g
         if found:
             assert is_semi_transitive(out.witness), g
-    assert find_semi_transitive(families.wheel(13)).nodes_expanded == 1036
+    assert raw_search(families.wheel(13))[1] == 1036
 
 
 def test_orientation_search_keeps_no_stack_per_edge():
@@ -570,9 +607,10 @@ def raises(call):
         return True
     return False
 
-# a directed triangle is no orientation of a graph with a word
-orientation._OrientSearch.search = lambda self: [0b010, 0b100, 0b001]
-semi = raises(lambda: orientation.find_semi_transitive(families.cycle(3)))
+# a directed cycle is no semi-transitive orientation; C5 passes TRO and the
+# filter, so the search gives the witness
+orientation._OrientSearch.search = lambda self: [0b00010, 0b00100, 0b01000, 0b10000, 0b00001]
+semi = raises(lambda: orientation.find_semi_transitive(families.cycle(5)))
 # an orientation with no arcs leaves every edge of Petersen unoriented
 orientation._OrientSearch.search = lambda self: [0] * self.n
 semi_empty = raises(lambda: orientation.find_semi_transitive(families.petersen()))
@@ -924,12 +962,8 @@ def test_semi_transitive_search_matches_reference_propagation():
     graphs = [g for g in atlas_graphs() if g.m and is_connected(g)]
     graphs += _random_connected(300, seed=12)
     for g in graphs:
-        out = find_semi_transitive(g)
         succ, nodes = reference_semi_transitive(g)
-        assert out.nodes_expanded == nodes, g
-        assert (out.witness.succ if out.found else None) == (
-            tuple(succ) if succ is not None else None
-        ), g
+        assert raw_search(g) == ((tuple(succ) if succ is not None else None), nodes), g
 
 
 class _UnprunedOrientSearch(_OrientSearch):
@@ -967,22 +1001,20 @@ def test_root_edge_pruning_matches_the_unpruned_search():
     for g in graphs:
         if not g.m:
             continue
-        out = find_semi_transitive(g)
+        found, nodes = raw_search(g)
         budget = _Budget()
         succ = _UnprunedOrientSearch(g, budget).search()
-        assert (out.witness.succ if out.found else None) == (
-            tuple(succ) if succ is not None else None
-        ), g
-        if out.found:
-            assert out.nodes_expanded == budget.nodes, g
+        assert found == (tuple(succ) if succ is not None else None), g
+        if found:
+            assert nodes == budget.nodes, g
         else:
             # the root's two subtrees are mirror images, so a refutation
             # keeps the root and one of them
-            assert out.nodes_expanded < budget.nodes == 2 * out.nodes_expanded - 1, g
+            assert nodes < budget.nodes == 2 * nodes - 1, g
             refuted += 1
     assert refuted > 0
     for g in (families.wheel(5), families.wheel(7), families.co_t2()):
-        assert find_semi_transitive(g).refuted, g
+        assert raw_search(g)[0] is None, g
 
 
 def _reverse(o):

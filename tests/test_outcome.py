@@ -93,14 +93,11 @@ def test_library_has_no_assert_statements():
 
 
 # Every function in the library that calls itself directly, with what bounds
-# its depth.  Every search keeps its own stack instead, and so does
-# `contains_pattern`; only `automorphisms`, which takes no budget and is
-# capped by CANONICAL_CEILING, recurses.  The scan sees a call by the
+# its depth: none does.  Every search keeps its own stack instead, and so do
+# `contains_pattern` and `automorphisms`.  The scan sees a call by the
 # function's own name, or as `self.name` / `cls.name`; mutual recursion and
 # a call through an alias escape it.
-RECURSIVE = {
-    "graphs.automorphisms.place",  # one frame per vertex, at most CANONICAL_CEILING
-}
+RECURSIVE = set()
 
 
 def _self_calls(tree, module):

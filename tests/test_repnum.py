@@ -19,7 +19,7 @@ from wordrep.graphs import (
     is_connected,
     max_clique_size,
 )
-from wordrep.orientation import _comparability, _decide, find_transitive
+from wordrep.orientation import _comparability, find_semi_transitive, find_transitive
 from wordrep.outcome import (
     REFUTED,
     WITNESS,
@@ -869,7 +869,7 @@ def test_shared_symmetry_bar_matches_a_fresh_bar_per_k(connected_upto_6):
             budget = _Budget()
             k, witness = _representation(g, budget)
             fresh = _Budget()
-            assert _decide(g, fresh).found == (witness is not None)
+            assert find_semi_transitive(g, budget=fresh).found == (witness is not None)
             out = None
             for j in range(1, k + 1) if witness else ():
                 out = find_k_uniform_word(g, j, budget=fresh, bar=_symmetry_bar(g))
@@ -881,7 +881,7 @@ def test_shared_symmetry_bar_matches_a_fresh_bar_per_k(connected_upto_6):
 
 
 def reference_representation(g, budget):
-    if not _decide(g, budget).require_conclusive().found:
+    if not find_semi_transitive(g, budget=budget).require_conclusive().found:
         return math.inf, None
     bar = _symmetry_bar(g)
     k = bound = 1
