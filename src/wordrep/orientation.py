@@ -21,7 +21,13 @@ always reaches a verdict, so it takes no budget, and its `nodes_expanded`
 counts implication classes.  A transitive orientation is semi-transitive,
 so a comparability graph is decided by its TRO witness alone.  Every
 neighborhood of a word-representable graph is a comparability graph, which
-gives the fast necessary test `neighborhood_filter`.  The decision
+gives the fast necessary test `neighborhood_filter`.  It decides each
+neighborhood from its core, the neighborhood less the vertices adjacent to
+all or none of the rest of it: a universal vertex (made a source) or an
+isolated one added to a comparability graph keeps it one, and induced
+subgraphs of comparability graphs are comparability graphs (Golumbic, ch. 5).
+So only a core of 6 or more vertices reaches TRO; a smaller one is a
+comparability graph unless it is C5.  The decision
 procedure `find_semi_transitive` takes these routes in turn:
 comparability, then the filter, then the search.
 """
@@ -444,16 +450,38 @@ def is_permutationally_representable(g):
 def neighborhood_filter(g):
     """Necessary condition: every vertex neighborhood of a word-representable
     graph is a comparability graph.  Returns the first failing vertex or None.
-    TRO runs on g's masks cut to the neighborhood, other vertices' zeroed.
-    Vertices of degree below 5 are skipped: every graph on at most 4
-    vertices is a comparability graph (C5 is the only one on 5 that is not)."""
+
+    Each neighborhood is decided from its core: the neighborhood less its
+    vertices adjacent to all of the rest of it or to none of it.  Adding a
+    universal vertex (made a source) or an isolated vertex to a comparability
+    graph keeps it one, and induced subgraphs of comparability graphs are
+    comparability graphs, so the neighborhood is a comparability graph exactly
+    when its core is (Golumbic, *Algorithmic Graph Theory and Perfect Graphs*,
+    ch. 5).  A core under 5 vertices passes, since every graph on at most 4
+    vertices is a comparability graph; a core of exactly 5 fails only when it
+    is 2-regular, since C5 is the only graph on 5 vertices that is not one;
+    a larger core goes to TRO on g's masks cut to the core, other vertices'
+    zeroed.
+    """
     adj = g.adj
     for v, hood in enumerate(adj):
-        if hood.bit_count() < 5:
+        top = hood.bit_count() - 1  # a universal vertex's degree in the hood
+        if top < 4:  # a hood under 5 vertices has a core under 5
+            continue
+        core = 0
+        for u in _bits(hood):
+            if 0 < (adj[u] & hood).bit_count() < top:
+                core |= 1 << u
+        size = core.bit_count()
+        if size < 5:
+            continue
+        if size == 5:
+            if all((adj[u] & core).bit_count() == 2 for u in _bits(core)):
+                return v + 1  # the core is C5
             continue
         cut = [0] * g.n
-        for u in _bits(hood):
-            cut[u] = adj[u] & hood
+        for u in _bits(core):
+            cut[u] = adj[u] & core
         if _comparability(cut)[0] is None:
             return v + 1
     return None
@@ -473,29 +501,33 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
       edge one way, and reversal covers the rest.
 
     TRO and the filter are polynomial and take no budget; no route has a
-    size ceiling.  A caller that runs several searches under one limit
-    passes its `_Budget` as `budget`, which then replaces `max_nodes` and
-    `max_seconds`.
+    size ceiling, and `elapsed` covers the whole call on every route.  A
+    caller that runs several searches under one limit passes its `_Budget`
+    as `budget`, which then replaces `max_nodes` and `max_seconds`.
     """
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
+    start = time.monotonic()
     tro = find_transitive(g)
     if tro.found:
-        return replace(tro, detail={"route": "comparability"})
+        return replace(tro, elapsed=time.monotonic() - start, detail={"route": "comparability"})
     v = neighborhood_filter(g)
     if v is not None:
-        return SearchOutcome(REFUTED, detail={"route": "filter", "vertex": v})
+        return SearchOutcome(
+            REFUTED, None, 0, time.monotonic() - start, {"route": "filter", "vertex": v}
+        )
 
     def kernel():
         succ = _OrientSearch(g, budget).search()
         return None if succ is None else Orientation._from_succ(g, succ)
 
-    return run_search(
+    out = run_search(
         kernel,
         budget,
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
         {"route": "search"},
     )
+    return replace(out, elapsed=time.monotonic() - start)
 
 
 def is_word_representable(g, max_nodes=None, max_seconds=None):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +255,34 @@ def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     assert searched == [families.prism(3)]
 
 
+def test_elapsed_covers_every_route(monkeypatch):
+    # a stub clock that only the routes' work moves: each TRO run by 1, the
+    # filter by 10 and the search by 100
+    now = [0.0]
+
+    def advancing(step, call):
+        def timed(*args):
+            now[0] += step
+            return call(*args)
+
+        return timed
+
+    monkeypatch.setattr(orientation, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    for name, step in (
+        ("_transitive_orientation", 1),
+        ("neighborhood_filter", 10),
+        ("_OrientSearch", 100),
+    ):
+        monkeypatch.setattr(orientation, name, advancing(step, getattr(orientation, name)))
+    for g, route, elapsed in (
+        (families.path(3), "comparability", 1),
+        (families.wheel(5), "filter", 11),
+        (families.prism(3), "search", 111),
+    ):
+        out = find_semi_transitive(g)
+        assert (out.detail["route"], out.elapsed) == (route, elapsed), g
+
+
 def test_neighborhood_filter():
     assert neighborhood_filter(families.wheel(5)) is not None  # hub sees C5
     assert neighborhood_filter(families.petersen()) is None
@@ -269,29 +298,87 @@ def reference_neighborhood_filter(g):
     return None
 
 
+@st.composite
+def _graphs_upto(draw, top):
+    n = draw(st.integers(min_value=0, max_value=top))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _core_sizes(g, upto):
+    """(core size, largest vertex) of the neighbourhoods of 5 or more
+    vertices among vertices 1..upto; the core is the neighbourhood less its
+    vertices adjacent to all or none of the rest of it."""
+    sizes = []
+    for v in range(1, upto + 1):
+        hood = set(g.neighbors(v))
+        if len(hood) >= 5:
+            degrees = [len(hood.intersection(g.neighbors(u))) for u in hood]
+            sizes.append((sum(0 < d < len(hood) - 1 for d in degrees), max(hood)))
+    return sizes
+
+
 def test_neighborhood_filter_matches_reference():
     hits = 0
-    for g in atlas_graphs() + _random_connected(300, seed=13):
+    cases = {"under 5": 0, "5": 0, "TRO": 0, "TRO past 12 bits": 0}
+
+    def check(g):
         v = neighborhood_filter(g)
         assert v == reference_neighborhood_filter(g), g
-        hits += v is not None
+        for size, top in _core_sizes(g, g.n if v is None else v):
+            cases["under 5" if size < 5 else "5" if size == 5 else "TRO"] += 1
+            cases["TRO past 12 bits"] += size > 5 and top > 12
+        return v is not None
+
+    for g in atlas_graphs() + _random_connected(300, seed=13):
+        hits += check(g)
     assert hits == 21 + 137  # atlas graphs, random graphs
+
+    # masks wider than the 12-bit table of `_bits`, and cores of 6 or more
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_graphs_upto(14))
+    def check_random(g):
+        check(g)
+
+    check_random()
+    assert all(cases.values()), cases
 
 
 def test_graphs_below_five_vertices_are_comparability_graphs():
-    # why `neighborhood_filter` may skip every vertex of degree below 5
+    # why `neighborhood_filter` passes every core under 5 vertices, and fails
+    # a core of 5 only when it is C5
     for n in range(1, 5):
         assert all(find_transitive(g).found for g in generate_all(n)), n
     failing = [g for g in generate_all(5) if not find_transitive(g).found]
     assert [canonical_form(g) for g in failing] == [canonical_form(families.cycle(5))]
 
 
-@st.composite
-def _graphs_upto_10(draw):
-    n = draw(st.integers(min_value=0, max_value=10))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+def test_universal_and_isolated_vertices_keep_comparability():
+    # why `neighborhood_filter` may strip a neighbourhood to its core
+    for n in range(1, 7):
+        for g in generate_all(n):
+            found = find_transitive(g).found
+            assert find_transitive(add_apex(g)).found == found, g
+            assert find_transitive(Graph(n + 1, g.edges())).found == found, g
+
+
+def test_neighborhood_filter_sends_only_cores_of_six_to_tro(monkeypatch):
+    calls = []
+    real = orientation._transitive_orientation
+    monkeypatch.setattr(
+        orientation, "_transitive_orientation", lambda adj: calls.append(adj) or real(adj)
+    )
+    # K8's neighbourhoods are K7s, all universal; W5's hub sees C5, its own
+    # core; W6's hub sees C6, which only TRO settles
+    for g, vertex, tro_calls in (
+        (families.complete(8), None, 0),
+        (families.wheel(5), 6, 0),
+        (families.wheel(6), None, 1),
+    ):
+        calls.clear()
+        assert neighborhood_filter(g) == vertex, g
+        assert len(calls) == tro_calls, g
 
 
 def test_decide_routes_agree_with_the_search():
@@ -317,7 +404,7 @@ def test_decide_routes_agree_with_the_search():
     assert routes == {"comparability", "filter", "search"}
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(_graphs_upto_10())
+    @given(_graphs_upto(10))
     def check_random(g):
         check(g)
 
@@ -325,15 +412,15 @@ def test_decide_routes_agree_with_the_search():
 
 
 def test_comparability_has_no_ceiling():
-    # TRO is polynomial: it settles a 13-vertex neighbourhood and the
-    # 14-vertex crown
-    assert neighborhood_filter(families.star(13)) is None
+    # TRO is polynomial: it settles the hub's 14-vertex neighbourhood in W14,
+    # a C14 that is its own core, and the 14-vertex crown
+    assert neighborhood_filter(families.wheel(14)) is None
     crown = families.crown(7)
     assert crown.n == 14
     out = find_transitive(crown)
     assert out.found and is_transitive(out.witness)
     assert is_permutationally_representable(crown)
-    assert is_word_representable(families.star(13))
+    assert is_word_representable(families.wheel(14))
 
 
 def _from_networkx(h):
@@ -620,8 +707,8 @@ trans = raises(lambda: orientation.find_transitive(families.path(3)))
 # no arcs at all is no transitive orientation of C4
 orientation._transitive_orientation = lambda adj: ([0] * len(adj), 1)
 trans_empty = raises(lambda: orientation.find_transitive(families.cycle(4)))
-# nor of the K5 that is each vertex's neighbourhood in K6
-hood = raises(lambda: orientation.neighborhood_filter(families.complete(6)))
+# nor of the C6 that is the hub's neighbourhood in W6 (its own core)
+hood = raises(lambda: orientation.neighborhood_filter(families.wheel(6)))
 # blind to neighbours, the coloring search paints K3 with one color
 orientation._bits = lambda mask: iter(())
 color = raises(lambda: orientation.three_color(families.complete(3)))
