@@ -37,11 +37,13 @@ print("2-uniform word for the 4-star:", "".join(map(str, tree_word)))
 print("cycle construction for C6:", "".join(map(str, families.cycle_two_representant(6))))
 print()
 
-# a graph needing three permutations: the crown on 3+3 vertices.  The word
-# is a realizer of the crown's order, one linear extension per permutation,
-# found by a deterministic search, so every run prints the same word
+# graphs needing three and four permutations: the crowns on 3+3 and 4+4
+# vertices, whose orders have dimension 3 and 4.  The word is a realizer of
+# the crown's order, one linear extension per permutation, found by a
+# deterministic search, so every run prints the same word
 from wordrep import permutational_representation_number
 
-out = permutational_representation_number(families.crown(3))
-print("crown 3+3 permutational number:", out.detail["permutations"],
-      "witness:", "".join(map(str, out.witness)))
+for k in (3, 4):
+    out = permutational_representation_number(families.crown(k))
+    print(f"crown {k}+{k} permutational number:", out.detail["permutations"],
+          "witness:", "".join(map(str, out.witness)))

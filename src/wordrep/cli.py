@@ -220,9 +220,7 @@ def cmd_repnum(args):
 
 def cmd_perm_repnum(args):
     g = parse_graph(args.graph)
-    outcome = permutational_representation_number(
-        g, max_p=args.max_p, **_budget_kw(args)
-    ).require_conclusive()
+    outcome = permutational_representation_number(g, **_budget_kw(args)).require_conclusive()
     stats = stats_payload(outcome)
     if outcome.found:
         return {
@@ -231,7 +229,7 @@ def cmd_perm_repnum(args):
             "witness_word": format_word(outcome.witness),
             "stats": stats,
         }, EXIT_OK
-    return {"perm_repnum": None, "verdict": False, "max_p": args.max_p, "stats": stats}, EXIT_NEGATIVE
+    return {"perm_repnum": None, "verdict": False, "stats": stats}, EXIT_NEGATIVE
 
 
 def cmd_family(args):
@@ -359,7 +357,6 @@ def build_parser():
 
     p = sub.add_parser("perm-repnum", help="least number of concatenated permutations")
     p.add_argument("graph")
-    p.add_argument("--max-p", type=int, default=3)
     budget_flags(p)
     p.set_defaults(func=cmd_perm_repnum)
 

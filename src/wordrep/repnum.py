@@ -32,6 +32,8 @@ letter 1 first too, so witnesses are unchanged; only refutations shrink.
 from __future__ import annotations
 
 import math
+import time
+from dataclasses import replace
 
 from .graphs import CANONICAL_CEILING, automorphisms, _bits
 from .orientation import _comparability, find_semi_transitive
@@ -407,12 +409,12 @@ def count_pattern_avoiding_representants(g, t, max_len, max_nodes=None, max_seco
 # -- representation by concatenations of permutations ---------------------------
 
 
-def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=None):
+def permutational_representation_number(g, max_nodes=None, max_seconds=None):
     """Least p such that a concatenation of p permutations of the vertices
-    represents g, or a refutation up to max_p.  `max_nodes` and
-    `max_seconds` bound the search over every p, and are its only limit:
-    the search keeps its own stack, so neither the order's size nor its
-    number of critical pairs is capped.
+    represents g, refuted only when g is not a comparability graph.
+    `max_nodes` and `max_seconds` bound the search over every p, and are
+    its only limit: it keeps its own stack, so neither the order's size nor
+    its number of critical pairs is capped.  `elapsed` covers the whole call.
 
     A pair alternates in such a concatenation exactly when every permutation
     orders it the same way, so the permutations must be linear extensions of
@@ -424,21 +426,18 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
     and every successor of b a successor of a (Trotter, *Combinatorics and
     Partially Ordered Sets*).  The search gives each critical pair one of p
     extensions of P, each kept transitively closed, branching on the
-    unreversed pair that the fewest extensions can still take.
+    unreversed pair that the fewest extensions can still take.  One
+    extension per critical pair, reversing it, realizes P, which bounds p.
     """
-    if max_p < 1:
-        raise ValueError("max_p must be at least 1")
     budget = _Budget(max_nodes, max_seconds)
+    start = time.monotonic()
     n = g.n
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
     succ, _ = _comparability(g.adj)
     if succ is None:
-        return SearchOutcome(REFUTED, None, 0, 0.0, {"max_p": max_p})
-    pred = [0] * n
-    for a in range(n):
-        for b in _bits(succ[a]):
-            pred[b] |= 1 << a
+        return SearchOutcome(REFUTED, None, 0, time.monotonic() - start)
+    pred = [sum(1 << a for a in range(n) if succ[a] >> b & 1) for b in range(n)]
     pairs = [
         (a, b)
         for a in range(n)
@@ -448,7 +447,7 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
         and pred[a] & ~pred[b] == 0
         and succ[b] & ~succ[a] == 0
     ]
-    detail = {"max_p": max_p}
+    detail = {}
 
     def realize(p):
         """At most p extensions of P, as (succ, pred) masks of closed
@@ -488,7 +487,7 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
             exts = exts[:i] + [(up, down)] + exts[i + 1 :]
 
     def kernel():
-        for p in range(1, max_p + 1):
+        for p in range(1, max(1, len(pairs)) + 1):
             exts = realize(p)
             if exts is not None:
                 detail["permutations"] = p
@@ -499,6 +498,7 @@ def permutational_representation_number(g, max_p=3, max_nodes=None, max_seconds=
                     for up, _ in exts + [(succ, pred)] * (p - len(exts))
                     for v in sorted(range(n), key=lambda v: -up[v].bit_count())
                 )
-        return None
+        raise AssertionError("no realizer of a transitive orientation within its critical pairs")
 
-    return run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)
+    out = run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)
+    return replace(out, elapsed=time.monotonic() - start)

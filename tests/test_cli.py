@@ -193,22 +193,24 @@ def test_represent_max_nodes_bounds_the_whole_call(capsys, monkeypatch):
 def test_perm_repnum(capsys):
     payload, code = run(capsys, "perm-repnum", "family:crown:3")
     assert code == 0 and payload["perm_repnum"] == 3
+    # only a graph that is not a comparability graph is refuted, by TRO
     payload, code = run(capsys, "perm-repnum", "family:cycle:5")
     assert code == 1 and payload["perm_repnum"] is None
-    payload, code = run(capsys, "perm-repnum", "family:crown:4", "--max-p", "4")
+    assert payload["stats"]["nodes_expanded"] == 0 and payload["stats"]["exhaustive"]
+    assert set(payload) == {"command", "perm_repnum", "verdict", "stats"}
+    # crown(4) has dimension 4: p + 1 nodes for each p up to 4
+    payload, code = run(capsys, "perm-repnum", "family:crown:4")
     assert code == 0 and payload["perm_repnum"] == 4
-    # a refutation reports its nodes too: p + 1 for each p up to 3
-    payload, code = run(capsys, "perm-repnum", "family:crown:4", "--max-p", "3")
-    assert code == 1 and payload["stats"]["nodes_expanded"] == 9
+    assert payload["stats"]["nodes_expanded"] == 14
 
 
 def test_perm_repnum_budget_exits_3(capsys):
     # 27 nodes settle the crown on 6 + 6 vertices, as its stats say
-    payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "27")
+    payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-nodes", "27")
     assert code == 0 and payload["perm_repnum"] == 6
     assert payload["stats"]["nodes_expanded"] == 27 and payload["stats"]["exhaustive"]
     for limit in (["--max-nodes", "5"], ["--max-seconds", "0"]):
-        payload, code = run(capsys, "perm-repnum", "family:crown:6", "--max-p", "6", *limit)
+        payload, code = run(capsys, "perm-repnum", "family:crown:6", *limit)
         assert code == 3 and payload["verdict"] is None, limit
         assert "Traceback" not in capsys.readouterr().err
 
@@ -527,14 +529,6 @@ def test_represent_k_below_one_exits_2(capsys):
         assert json.loads(captured.err)["error"] == "k must be at least 1"
 
 
-def test_perm_repnum_max_p_below_one_exits_2(capsys):
-    for max_p in ("0", "-1"):
-        assert main(["perm-repnum", "family:cycle:4", "--max-p", max_p]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err)["error"] == "max_p must be at least 1"
-
-
 def test_represent_pattern_with_k_exits_2(capsys):
     for k in ("0", "2"):
         assert main(["represent", "family:cycle:5", "--pattern", "132", "--k", k]) == 2
@@ -561,6 +555,8 @@ _SWEEP_BASES = [
     ["represent", "family:cycle:5", "--pattern", "132", "--k", "2"],
     ["repnum", "family:cycle:5"],
     ["perm-repnum", "family:cycle:4"],
+    ["perm-repnum", "family:cycle:5"],
+    ["perm-repnum", "family:crown:4"],
     ["family", "cycle:5"],
     *(
         ["op", name, "family:path:3", "--other", "family:path:2", "--edge", "1", "2"]
@@ -632,7 +628,7 @@ _SCHEMA = json.loads(
         ["enumerate", "5", "--list", "--count-nonrep", "--minimal"],
         ["represent", "family:petersen", "--max-nodes", "100"],  # budget exhausted
         ["orient", "family:petersen", "--max-nodes", "1"],
-        ["perm-repnum", "family:crown:6", "--max-p", "6", "--max-nodes", "5"],
+        ["perm-repnum", "family:crown:6", "--max-nodes", "5"],
         ["pattern-count", "family:complete:9", "--pattern", "132", "--max-len", "12", "--max-nodes", "10000"],
     ],
     ids=" ".join,

@@ -471,11 +471,11 @@ def test_orientation_search_keeps_no_stack_per_edge():
 
 def test_permutation_order_is_checked(monkeypatch):
     # 4->1->2 and 4->3->2 orient C4 without 4->2; taken unchecked, this order
-    # made the search refute C4 at max_p=2, although C4 has dimension 2
+    # made the search refute C4 at 2 permutations, although C4 has dimension 2
     forged = lambda adj: ([0b0010, 0, 0b0010, 0b0101], 1)
     monkeypatch.setattr(orientation, "_transitive_orientation", forged)
     with pytest.raises(AssertionError):
-        permutational_representation_number(families.cycle(4), max_p=2)
+        permutational_representation_number(families.cycle(4))
 
 
 def test_figure_derived_counterexamples():

@@ -3,6 +3,7 @@ import math
 import random
 import time
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,12 @@ from wordrep.graphs import (
     is_connected,
     max_clique_size,
 )
-from wordrep.orientation import _comparability, find_semi_transitive, find_transitive
+from wordrep.orientation import (
+    _comparability,
+    find_semi_transitive,
+    find_transitive,
+    is_permutationally_representable,
+)
 from wordrep.outcome import (
     REFUTED,
     WITNESS,
@@ -330,7 +336,7 @@ def test_perm_number_two_matches_brute_force():
             for p2 in itertools.permutations(letters)
         }
         for g in all_labeled_graphs(n):
-            out = permutational_representation_number(g, max_p=2)
+            out = permutational_representation_number(g)
             mine = out.found and out.detail["permutations"] <= 2
             assert mine == (frozenset(g.edges()) in two), g
 
@@ -338,14 +344,40 @@ def test_perm_number_two_matches_brute_force():
 def test_perm_number_budget():
     # the crown on 6 + 6 vertices needs 6 permutations, found in 27 nodes
     crown = families.crown(6)
-    out = permutational_representation_number(crown, max_p=6, max_nodes=27)
+    out = permutational_representation_number(crown, max_nodes=27)
     assert out.found and out.detail["permutations"] == 6 and out.nodes_expanded == 27
     for limits in ({"max_nodes": 26}, {"max_nodes": 5}, {"max_seconds": 0}):
-        out = permutational_representation_number(crown, max_p=6, **limits)
+        out = permutational_representation_number(crown, **limits)
         assert out.status == "budget_exhausted" and out.witness is None, limits
     for limits in ({"max_nodes": -1}, {"max_seconds": -1.0}):
         with pytest.raises(ValueError):
             permutational_representation_number(crown, **limits)
+
+
+def test_perm_elapsed_covers_the_whole_call(monkeypatch):
+    # a stub clock that only the call's work moves: TRO by 1, each search
+    # node by 100 and the witness check by 10
+    from wordrep import repnum
+
+    now = [0.0]
+
+    def advancing(step, call):
+        def timed(*args):
+            now[0] += step
+            return call(*args)
+
+        return timed
+
+    monkeypatch.setattr(repnum, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(repnum, "_comparability", advancing(1, repnum._comparability))
+    monkeypatch.setattr(repnum, "word_to_graph", advancing(10, repnum.word_to_graph))
+    monkeypatch.setattr(_Budget, "tick", advancing(100, _Budget.tick))
+    for g, status, elapsed in (
+        (families.cycle(5), REFUTED, 1),  # refuted by TRO
+        (families.crown(3), WITNESS, 1 + 9 * 100 + 10),  # 9 nodes for p = 1, 2, 3
+    ):
+        out = permutational_representation_number(g)
+        assert (out.status, out.elapsed) == (status, elapsed), g
 
 
 def test_perm_search_has_no_size_ceiling():
@@ -354,12 +386,9 @@ def test_perm_search_has_no_size_ceiling():
     # crown(20) has 40 vertices and 20 critical pairs to reverse: a search
     # that recursed once per pair would run out of a stack of 50 frames
     with shallow_stack():
-        out = permutational_representation_number(families.crown(20), max_p=20)
+        out = permutational_representation_number(families.crown(20))
     assert _perm_number(out) == 20 and out.nodes_expanded == 230
     assert word_to_graph(out.witness) == families.crown(20)
-    for max_p in (0, -1):
-        with pytest.raises(ValueError, match="max_p must be at least 1"):
-            permutational_representation_number(families.cycle(4), max_p=max_p)
 
 
 # -- reference searches -----------------------------------------------------------
@@ -1179,17 +1208,16 @@ def _represents(w, g):
 
 
 def test_perm_number_matches_reference():
-    # the reference tries p = 1, 2, ... in turn whatever max_p is, so one run
-    # at max_p = 3 gives its answer for every smaller max_p
+    # an order on n >= 4 elements has dimension at most n / 2 (Hiraguchi),
+    # so on n <= 6 vertices the reference refutes at max_p = 3 only the
+    # graphs that are not comparability graphs
     for g in [g for g in atlas_graphs() if g.n <= 6]:
-        expected = _perm_number(reference_permutational_representation_number(g))
-        for max_p in (1, 2, 3):
-            out = permutational_representation_number(g, max_p=max_p)
-            if expected is None or expected > max_p:
-                assert out.refuted, (g, max_p)
-            else:
-                assert _perm_number(out) == expected, (g, max_p)
-                assert len(out.witness) == expected * g.n and _represents(out.witness, g)
+        expected = reference_permutational_representation_number(g, max_p=3)
+        out = permutational_representation_number(g)
+        assert out.status == expected.status, g
+        if out.found:
+            assert _perm_number(out) == _perm_number(expected), g
+            assert len(out.witness) == _perm_number(out) * g.n and _represents(out.witness, g)
 
 
 def _random_comparability_graph(rng, n):
@@ -1206,6 +1234,18 @@ def _random_comparability_graph(rng, n):
     return Graph(n, [(a + 1, b + 1) for a in range(n) for b in _bits(up[a])])
 
 
+@st.composite
+def _graphs_upto_ten(draw):
+    """A graph on at most 10 vertices: any graph, or the comparability graph
+    of a random order, so that both answers are drawn often."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        return _random_comparability_graph(random.Random(draw(st.integers(0, 2**32))), n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
 def test_perm_number_dushnik_miller():
     # dimension <= 2 exactly when the complement is a comparability graph
     # too (Dushnik & Miller), and dimension does not depend on the labels
@@ -1214,15 +1254,26 @@ def test_perm_number_dushnik_miller():
     for _ in range(300):
         n = rng.randint(7, 12)
         g = _random_comparability_graph(rng, n)
-        out = permutational_representation_number(g, max_p=6)
+        out = permutational_representation_number(g)
         p = _perm_number(out)
         assert p is not None and _represents(out.witness, g), g
         assert (p <= 2) == find_transitive(complement(g)).found, g
         perm = list(range(n))
         rng.shuffle(perm)
-        assert _perm_number(permutational_representation_number(relabel(g, perm), max_p=6)) == p
+        assert _perm_number(permutational_representation_number(relabel(g, perm))) == p
         seen.add(p)
     assert {1, 2, 3} <= seen
+
+    # permutations represent exactly the comparability graphs (Kitaev & Seif)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_graphs_upto_ten())
+    def check_random(g):
+        out = permutational_representation_number(g)
+        assert out.found == is_permutationally_representable(g), g
+        if out.found:
+            assert len(out.witness) == _perm_number(out) * g.n and _represents(out.witness, g), g
+
+    check_random()
 
 
 def test_perm_number_crowns():
@@ -1231,10 +1282,9 @@ def test_perm_number_crowns():
     # without backtracking and finds no room for the next: p + 1 nodes
     for k in range(2, 7):
         g = families.crown(k)
-        out = permutational_representation_number(g, max_p=6)
+        out = permutational_representation_number(g)
         assert _perm_number(out) == k and _represents(out.witness, g)
         assert out.nodes_expanded == sum(p + 1 for p in range(1, k + 1))
-        assert permutational_representation_number(g, max_p=k - 1).refuted
 
 
 # `permutational_representation_number` as it was while `realize` called
@@ -1331,18 +1381,19 @@ def reference_recursive_permutational_representation_number(g, max_p=3, max_node
 
 
 def _comparable(out):
-    return out.status, out.witness, out.nodes_expanded, out.detail
+    return out.status, out.witness, out.nodes_expanded, out.detail.get("permutations")
 
 
 def test_perm_search_matches_the_recursive_reference():
-    # the same status, witness, node count and detail on every graph up to
-    # 7 vertices for p up to 4, and on crowns up to 24 vertices
-    cases = [(g, max_p) for g in atlas_graphs() for max_p in (1, 2, 3, 4)]
-    cases += [(families.crown(k), k) for k in range(2, 13)]
+    # the same status, witness, node count and number of permutations on
+    # every graph up to 7 vertices and on crowns up to 24 vertices; an order
+    # on n elements has dimension at most n, so the reference's max_p = n
+    # refutes only the graphs that are not comparability graphs
+    cases = atlas_graphs() + [families.crown(k) for k in range(2, 13)]
     found = 0
-    for g, max_p in cases:
-        expected = _comparable(reference_recursive_permutational_representation_number(g, max_p))
-        assert _comparable(permutational_representation_number(g, max_p)) == expected, (g, max_p)
+    for g in cases:
+        expected = _comparable(reference_recursive_permutational_representation_number(g, max(1, g.n)))
+        assert _comparable(permutational_representation_number(g)) == expected, g
         found += expected[0] == WITNESS
     assert 0 < found < len(cases)
 
