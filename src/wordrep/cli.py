@@ -86,7 +86,7 @@ def parse_family(spec):
 
 
 def parse_graph(spec):
-    """family:NAME[:PARAM] | edges:N:U-V,U-V,... | path to .g6/edge-list file."""
+    """family:NAME[:PARAM] | edges:N:U-V,U-V,... | path to a one-graph .g6/edge-list file."""
     if spec.startswith("family:"):
         return families.make(*parse_family(spec))
     if spec.startswith("edges:"):
@@ -101,8 +101,12 @@ def parse_graph(spec):
     if os.path.exists(spec):
         with open(spec) as fh:
             text = fh.read()
-        first = text.strip().splitlines()[0].strip() if text.strip() else ""
+        # no graph6 line starts with "#", which opens an edge-list comment
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+        first = lines[0] if lines else ""
         if spec.endswith(".g6") or spec.endswith(".graph6") or not re.match(r"^\d+\s+\d+$", first):
+            if len(lines) > 1:
+                raise ValueError(f"{spec} holds {len(lines)} graph6 lines; give one graph")
             return io.from_graph6(first)
         return io.from_edge_list_text(text)
     raise ValueError(f"cannot interpret graph spec {spec!r}")
@@ -123,10 +127,12 @@ def orientation_payload(o):
 
 
 def stats_payload(outcome):
+    # every command requires a verdict first, so only a pattern search's
+    # refutation within its multiplicity caps is not exhaustive
     return {
         "nodes_expanded": outcome.nodes_expanded,
         "elapsed": round(outcome.elapsed, 6),
-        "exhaustive": outcome.status != "budget_exhausted",
+        "exhaustive": not outcome.refuted or outcome.detail.get("exhaustive", True),
     }
 
 

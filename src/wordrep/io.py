@@ -100,7 +100,10 @@ def from_edge_list_text(text):
     for ln in lines[1:]:
         u, v = ln.split()
         edges.append((int(u), int(v)))
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.m != m:
+        raise ValueError(f"expected {m} distinct edges, found {g.m}")
+    return g
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -8,12 +8,12 @@ any word avoiding a length-3 pattern uses a degree>=2 letter at most twice
 and a letter adjacent to such a vertex at most three times, and for 132 a
 representable graph always has a witness with every letter at most twice.
 
-All searches are one walk, `_PairState.walk`, which grows the word one
-letter at a time, in increasing order, so every search is deterministic.
-Each search says only when it is done and which letters it bars at a node,
-as a mask computed from the pair state: the pattern searches bar the letters
-that would complete an occurrence of the pattern, and the uniform search
-bars by symmetry, with one bar per graph, `_symmetry_bar(g)`, which
+All searches are one walk, `_walk`, which grows the word one letter at a
+time, in increasing order, so every search is deterministic.  Each search
+says only when it is done and which letters it bars at a node, as a mask
+computed from the word and its placed letters: the pattern searches bar the
+letters that would complete an occurrence of the pattern, and the uniform
+search bars by symmetry, with one bar per graph, `_symmetry_bar(g)`, which
 `representation_number` shares across every k it tries.
 
 The uniform search breaks two symmetries.  It keeps the word's
@@ -49,131 +49,112 @@ from .words import as_pattern, contains_pattern, word_to_graph
 AUTOMORPHISM_CAP = 2048
 
 
-class _PairState:
-    """A word over g under construction, within per-letter copy caps, and
-    the state of every letter pair, as per-letter bitmasks (bit y of a mask
-    stands for letter y+1).  `walk` grows the word and keeps the pair state;
-    the searches' `bar` and `done` read `word`, `placed` and `loose`.
+def _walk(g, caps, budget, bar, done):
+    """Depth-first search from the empty word over g, within the per-letter
+    copy caps `caps`, for a word on which `done(word, placed, loose)` holds;
+    that word is returned as a tuple of 1-indexed letters (so pattern checks
+    read naturally), or None once the search has run out of words.
 
-    - `rem[x]`: the copies of x left.
+    The state of every letter pair is kept as per-letter bitmasks (bit y of
+    a mask stands for letter y+1); the callbacks get the first two:
     - `placed`: the letters with a copy in the word.
     - `loose`: the letters with a non-neighbour whose pair still alternates.
+    - `rem[x]`: the copies of x left.
+    - `before[x]`: for a placed x, the letters whose last copy comes before
+      x's last copy or that are not placed yet; 0 while x is unplaced.
+    - `broken[x]`: the non-neighbours y whose projection onto {x, y} has
+      stopped alternating.
+    - `low`, `spent`: the letters with fewer than two copies left, and with
+      none left.
+    - `blocked`: the placed letters x with a neighbour in `before[x]`, whose
+      next copy would repeat in that edge's projection.
+
+    The search is one loop over its own stack, so its depth is bounded by
+    the budget and the caps alone: each entry holds a placed letter, the
+    moves left at the node it was placed from, and the pair state as it was
+    before it.  Each node ticks `budget` once and then tries, in increasing
+    order, each move outside the mask `bar(word, placed)`.  A search may bar
+    only letters whose subtrees hold no word it wants.
+
+    Right after x is placed, x is the last letter of every pair {x, y}, so
+    the tests on the pairs at x are mask tests.  Placing x blocks x when it
+    has neighbours, and can unblock only the blocked neighbours of x, which
+    alone are rechecked.  No list is changed in place: a placement builds
+    new ones and stacks the old ones to put back.
+
+    A move x has a copy left (not in `spent`), would not repeat in the
+    projection of an edge at x (not in `blocked`), and leaves every
+    alternating non-edge at x breakable: once x's last copy is placed, only
+    two more copies of the other letter can break it, so a letter with one
+    copy left and an alternating non-edge (in `loose`) is tested against the
+    letters in `low`.  So after every placement every adjacent pair's
+    projection still strictly alternates, and every non-adjacent pair can
+    still end up non-alternating with the remaining copies: a uniform word
+    that reaches full length is a representant, and a word with every letter
+    placed and nothing loose is a representant.  A uniform word needs no
+    test that x's neighbours keep copies to follow x: when all k copies of a
+    neighbour y are placed and x can still follow, the projection onto
+    {x, y} alternates and ends in y, so it holds k - 1 copies of x and x has
+    one copy left.  A search that may stop short of its caps never needs
+    it: a letter can simply get no more copies.
     """
-
-    def __init__(self, g, caps):
-        self.full = (1 << g.n) - 1
-        self.adj = g.adj
-        self.nonadj = [self.full & ~(a | 1 << x) for x, a in enumerate(g.adj)]
-        self.rem = list(caps)
-        self.placed = 0
-        self.loose = sum(1 << x for x, m in enumerate(self.nonadj) if m)
-        self.word = []  # 1-indexed letters, so pattern checks read naturally
-
-    def is_witness(self):
-        """Every letter is placed and every non-edge has stopped alternating."""
-        return self.placed == self.full and not self.loose
-
-    def walk(self, budget, bar, done):
-        """Depth-first search from the empty word for one on which `done()`
-        holds: True leaves that word in place, False the empty word.
-
-        The search is one loop over its own stack, so its depth is bounded
-        by the budget and the caps alone: each entry holds a placed letter,
-        the moves left at the node it was placed from, and the pair state
-        as it was before it.  Each node ticks `budget` once and then tries,
-        in increasing order, each move outside the mask `bar(self)`.  A
-        search may bar only letters whose subtrees hold no word it wants.
-
-        Besides `placed` and `loose`, the pair state is
-        - `before[x]`: for a placed x, the letters whose last copy comes
-          before x's last copy or that are not placed yet; 0 while x is
-          unplaced.
-        - `broken[x]`: the non-neighbours y whose projection onto {x, y}
-          has stopped alternating.
-        - `low`, `spent`: the letters with fewer than two copies left, and
-          with none left.
-        - `blocked`: the placed letters x with a neighbour in `before[x]`,
-          whose next copy would repeat in that edge's projection.
-        Right after x is placed, x is the last letter of every pair {x, y},
-        so the tests on the pairs at x are mask tests.  Placing x blocks x
-        when it has neighbours, and can unblock only the blocked neighbours
-        of x, which alone are rechecked.  No list is changed in place: a
-        placement builds new ones and stacks the old ones to put back.
-
-        A move x has a copy left (not in `spent`), would not repeat in the
-        projection of an edge at x (not in `blocked`), and leaves every
-        alternating non-edge at x breakable: once x's last copy is placed,
-        only two more copies of the other letter can break it, so a letter
-        with one copy left and an alternating non-edge (in `loose`) is
-        tested against the letters in `low`.  So after every placement
-        every adjacent pair's projection still strictly alternates, and
-        every non-adjacent pair can still end up non-alternating with the
-        remaining copies: a uniform word that reaches full length is a
-        representant.  A uniform word needs no test that x's neighbours
-        keep copies to follow x: when all k copies of a neighbour y are
-        placed and x can still follow, the projection onto {x, y}
-        alternates and ends in y, so it holds k - 1 copies of x and x has
-        one copy left.  A search that may stop short of its caps never
-        needs it: a letter can simply get no more copies.
-        """
-        full, adj, nonadj, rem, word = self.full, self.adj, self.nonadj, self.rem, self.word
-        before, broken = [0] * len(rem), [0] * len(rem)
-        low = sum(1 << x for x, r in enumerate(rem) if r < 2)
-        spent = sum(1 << x for x, r in enumerate(rem) if not r)
-        placed = blocked = 0
-        loose = self.loose
-        stack = []
-        while True:
-            budget.tick()
-            if done():
-                return True
-            moves = full & ~(spent | blocked | bar(self))
-            for x in _bits(moves & low & loose):
-                if nonadj[x] & low & ~(broken[x] | before[x]):
-                    moves ^= 1 << x
-            while not moves:
-                if not stack:
-                    return False
-                x, moves, before, broken, low, spent, placed, blocked, loose = stack.pop()
-                self.placed, self.loose = placed, loose
-                rem[x] += 1
-                word.pop()
-            bit = moves & -moves
-            x = bit.bit_length() - 1
-            stack.append((x, moves ^ bit, before, broken, low, spent, placed, blocked, loose))
-            new = before[x] & nonadj[x] & ~broken[x]
-            if new:  # x follows x in these pairs' projections
-                broken = broken[:]
-                broken[x] |= new
-                if broken[x] == nonadj[x]:
-                    loose ^= bit
-                for y in _bits(new):
-                    broken[y] |= bit
-                    if broken[y] == nonadj[y]:
-                        loose ^= 1 << y
-                self.loose = loose
-            keep = ~bit
-            before = [b & keep for b in before]
-            before[x] = full & keep
-            for y in _bits(adj[x] & blocked):
-                if not adj[y] & before[y]:
-                    blocked ^= 1 << y
-            if adj[x]:
-                blocked |= bit
-            placed |= bit
-            self.placed = placed
-            rem[x] -= 1
-            if rem[x] < 2:
-                low |= bit
-                if not rem[x]:
-                    spent |= bit
-            word.append(x + 1)
+    full, adj = (1 << g.n) - 1, g.adj
+    nonadj = [full & ~(a | 1 << x) for x, a in enumerate(adj)]
+    rem = list(caps)
+    before, broken = [0] * len(rem), [0] * len(rem)
+    low = sum(1 << x for x, r in enumerate(rem) if r < 2)
+    spent = sum(1 << x for x, r in enumerate(rem) if not r)
+    placed = blocked = 0
+    loose = sum(1 << x for x, m in enumerate(nonadj) if m)
+    word, stack = [], []
+    while True:
+        budget.tick()
+        if done(word, placed, loose):
+            return tuple(word)
+        moves = full & ~(spent | blocked | bar(word, placed))
+        for x in _bits(moves & low & loose):
+            if nonadj[x] & low & ~(broken[x] | before[x]):
+                moves ^= 1 << x
+        while not moves:
+            if not stack:
+                return None
+            x, moves, before, broken, low, spent, placed, blocked, loose = stack.pop()
+            rem[x] += 1
+            word.pop()
+        bit = moves & -moves
+        x = bit.bit_length() - 1
+        stack.append((x, moves ^ bit, before, broken, low, spent, placed, blocked, loose))
+        new = before[x] & nonadj[x] & ~broken[x]
+        if new:  # x follows x in these pairs' projections
+            broken = broken[:]
+            broken[x] |= new
+            if broken[x] == nonadj[x]:
+                loose ^= bit
+            for y in _bits(new):
+                broken[y] |= bit
+                if broken[y] == nonadj[y]:
+                    loose ^= 1 << y
+        keep = ~bit
+        before = [b & keep for b in before]
+        before[x] = full & keep
+        for y in _bits(adj[x] & blocked):
+            if not adj[y] & before[y]:
+                blocked ^= 1 << y
+        if adj[x]:
+            blocked |= bit
+        placed |= bit
+        rem[x] -= 1
+        if rem[x] < 2:
+            low |= bit
+            if not rem[x]:
+                spent |= bit
+        word.append(x + 1)
 
 
 def _symmetry_bar(g):
-    """The uniform search's symmetry policy for g, as a bar over the pair
-    state: only letter 1 may start the word, and each automorphism that
-    fixes every placed letter bars the letters it maps lower.  The placed
+    """The uniform search's symmetry policy for g, as a bar for `_walk`:
+    only letter 1 may start the word, and each automorphism that fixes
+    every placed letter bars the letters it maps lower.  The placed
     letters of a uniform word are its first-occurrence prefix, so that
     prefix stays least in its orbit (see the module docstring).  The mask
     depends only on the placed set, not on k, so one bar serves every k."""
@@ -189,8 +170,7 @@ def _symmetry_bar(g):
         rules.append((fixed, lowered))
     memo = {0: ~1}
 
-    def bar(state):
-        placed = state.placed
+    def bar(word, placed):
         barred = memo.get(placed)
         if barred is None:
             barred = 0
@@ -210,7 +190,8 @@ def find_k_uniform_word(g, k, max_nodes=None, max_seconds=None, *, budget=None, 
     symmetry reduction (automorphisms, cyclic shifts) prunes the last witness.
     A caller that searches several k passes its `_Budget` as `budget`, which
     then replaces `max_nodes` and `max_seconds`, and `_symmetry_bar(g)` as
-    `bar`, so the symmetry rules are compiled once for all k.
+    `bar`, so the symmetry rules are compiled once for all k.  Without one,
+    the bar is built inside the timed search, so `elapsed` covers it.
 
     No size ceiling: only a verdict or the budget stops the search, and with
     no budget memory bounds a long word (one undo record per letter).
@@ -221,14 +202,16 @@ def find_k_uniform_word(g, k, max_nodes=None, max_seconds=None, *, budget=None, 
         return SearchOutcome(WITNESS, (), 0, 0.0)
     if budget is None:
         budget = _Budget(max_nodes, max_seconds)
-    if bar is None:
-        bar = _symmetry_bar(g)
-    state = _PairState(g, [k] * g.n)
     length = g.n * k
 
     def kernel():
-        found = state.walk(budget, bar, lambda: len(state.word) == length)
-        return tuple(state.word) if found else None
+        return _walk(
+            g,
+            [k] * g.n,
+            budget,
+            bar or _symmetry_bar(g),
+            lambda word, placed, loose: len(word) == length,
+        )
 
     return run_search(kernel, budget, lambda w: word_to_graph(w) == g)
 
@@ -351,21 +334,25 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     if g.n == 0:  # the empty word, which `word_to_graph` rejects
         return SearchOutcome(WITNESS, (), 0, 0.0, detail)
     budget = _Budget(max_nodes, max_seconds)
-    state = _PairState(g, [caps[v] for v in g.vertices()])
-    # a non-edge stops alternating only by xx or yy in its projection,
-    # so on the empty word it needs a copy of each letter and two of one
-    rem = state.rem
-    hopeless = any(
-        min(rem[x], rem[y]) < 1 or max(rem[x], rem[y]) < 2
-        for x in range(g.n)
-        for y in _bits(state.nonadj[x])
-    )
-
-    def bar(state):
-        return -1 if hopeless else _occurrence_mask(state.word, t, g.n)
+    full = (1 << g.n) - 1
 
     def kernel():
-        return tuple(state.word) if state.walk(budget, bar, state.is_witness) else None
+        # a non-edge stops alternating only by xx or yy in its projection,
+        # so on the empty word it needs a copy of each letter and two of one
+        rem = [caps[v] for v in g.vertices()]
+        hopeless = any(
+            min(rem[x], rem[y]) < 1 or max(rem[x], rem[y]) < 2
+            for x in range(g.n)
+            for y in range(x + 1, g.n)
+            if not g.adj[x] >> y & 1
+        )
+        return _walk(
+            g,
+            rem,
+            budget,
+            lambda word, placed: -1 if hopeless else _occurrence_mask(word, t, g.n),
+            lambda word, placed, loose: placed == full and not loose,
+        )
 
     return run_search(
         kernel,
@@ -386,18 +373,20 @@ def count_pattern_avoiding_representants(g, t, max_len, max_nodes=None, max_seco
         raise ValueError("max_len must be non-negative")
     t = as_pattern(t)
     budget = _Budget(max_nodes, max_seconds)
-    state = _PairState(g, [max_len] * g.n)
+    full = (1 << g.n) - 1
     count = 0
 
-    def done():
+    def done(word, placed, loose):
         nonlocal count
-        count += state.is_witness()
+        count += placed == full and not loose
         return False
 
     def kernel():
-        state.walk(
+        _walk(
+            g,
+            [max_len] * g.n,
             budget,
-            lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
+            lambda word, placed: -1 if len(word) == max_len else _occurrence_mask(word, t, g.n),
             done,
         )
         return count

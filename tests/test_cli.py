@@ -77,6 +77,8 @@ def test_parse_graph_specs(tmp_path):
     edge_path = tmp_path / "g.txt"
     edge_path.write_text("3 2\n1 2\n2 3\n")
     assert parse_graph(str(edge_path)) == Graph(3, [(1, 2), (2, 3)])
+    edge_path.write_text("# a path\n3 2\n1 2\n2 3\n")  # a comment before the header
+    assert parse_graph(str(edge_path)) == Graph(3, [(1, 2), (2, 3)])
     g6_path = tmp_path / "g.g6"
     g6_path.write_text(to_graph6(families.prism(3)) + "\n")
     assert parse_graph(str(g6_path)) == families.prism(3)
@@ -213,6 +215,17 @@ def test_perm_repnum_budget_exits_3(capsys):
         payload, code = run(capsys, "perm-repnum", "family:crown:6", *limit)
         assert code == 3 and payload["verdict"] is None, limit
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_refutation_within_caps_is_not_exhaustive(capsys):
+    # isolated vertices get cap 3, so refuting 11 holds only within the caps
+    payload, code = run(capsys, "represent", "family:empty:2", "--pattern", "11")
+    assert code == 1 and payload["refutation_complete"] is False
+    assert payload["stats"]["exhaustive"] is False
+    # a witness within the caps is a witness outright
+    payload, code = run(capsys, "represent", "family:empty:2", "--pattern", "12")
+    assert code == 0 and payload["refutation_complete"] is False
+    assert payload["stats"]["exhaustive"] is True
 
 
 def test_represent_null_graph_avoiding_a_pattern(capsys):
@@ -492,6 +505,8 @@ def test_malformed_files_exit_2(tmp_path):
         "wide.txt": "3 1\n1 2 3\n",
         "empty.g6": "",
         "long.g6": "Bwxyz\n",  # K3's body plus three bytes
+        "repeat.txt": "3 2\n1 2\n2 1\n",  # two edges announced, one repeated
+        "two.g6": "Bw\nBw\n",  # two graphs where one is read
         "binary.g6": b"\xff\xfe\x00",
     }
     for name, content in cases.items():

@@ -102,6 +102,8 @@ def test_edge_list_errors():
         from_edge_list_text("")
     with pytest.raises(ValueError):
         from_edge_list_text("2 2\n1 2\n")
+    with pytest.raises(ValueError, match="distinct edges"):
+        from_edge_list_text("3 2\n1 2\n2 1\n")
 
 
 def test_dot_output():

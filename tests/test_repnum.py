@@ -37,10 +37,10 @@ from wordrep.outcome import (
 )
 from wordrep.repnum import (
     AUTOMORPHISM_CAP,
-    _PairState,
     _occurrence_mask,
     _representation,
     _symmetry_bar,
+    _walk,
     count_pattern_avoiding_representants,
     find_k_uniform_word,
     find_pattern_avoiding_word,
@@ -296,7 +296,8 @@ def test_count_matches_brute_force():
             for w in itertools.combinations(word, len(t))
         )
 
-    patterns = ((1, 3, 2), (1, 2, 3), (2, 1))
+    # 213 and 112 take `_occurrence_mask`'s general route, by `contains_pattern`
+    patterns = ((1, 3, 2), (1, 2, 3), (2, 1), (2, 1, 3), (1, 1, 2))
     cases = positive = 0
     for n, max_len in ((1, 6), (2, 6), (3, 6), (4, 5)):
         tally = {}
@@ -313,7 +314,7 @@ def test_count_matches_brute_force():
                 assert count_pattern_avoiding_representants(g, t, max_len) == expected, (g, t)
                 cases += 1
                 positive += expected > 0
-    assert (cases, positive) == (225, 81)  # not only empty counts are compared
+    assert (cases, positive) == (375, 149)  # not only empty counts are compared
 
 
 def test_perm_representation_numbers():
@@ -880,6 +881,33 @@ def test_representation_number_computes_automorphisms_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_uniform_elapsed_covers_building_the_symmetry_bar(monkeypatch):
+    # a stub clock that only the call's work moves: the automorphism group
+    # by 1000 and each search node by 1
+    from wordrep import outcome, repnum
+
+    now = [0.0]
+
+    def advancing(step, call):
+        def timed(*args, **kw):
+            now[0] += step
+            return call(*args, **kw)
+
+        return timed
+
+    monkeypatch.setattr(outcome, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(repnum, "automorphisms", advancing(1000, repnum.automorphisms))
+    monkeypatch.setattr(_Budget, "tick", advancing(1, _Budget.tick))
+    out = find_k_uniform_word(families.prism(6), 2, max_nodes=1)  # stops at its 2nd tick
+    assert (out.status, out.elapsed) == ("budget_exhausted", 1000 + 2)
+    out = find_k_uniform_word(families.cycle(6), 2)
+    assert out.found and out.elapsed == 1000 + out.nodes_expanded
+    # a bar the caller passes is built before the call, outside its time
+    bar = _symmetry_bar(families.cycle(6))
+    out = find_k_uniform_word(families.cycle(6), 2, bar=bar)
+    assert out.found and out.elapsed == out.nodes_expanded
+
+
 def test_representation_number_builds_one_symmetry_bar(monkeypatch):
     from wordrep import repnum
 
@@ -1016,26 +1044,43 @@ class _ReferencePairState:
             stack.append((x, moves & moves - 1, self.place(x)))
 
 
-def _visits(state_class, g, caps, bar, stop):
-    """The words on which a walk over g within `caps` calls `done`, in
+def _reference_walk(g, caps, budget, bar, done):
+    """`_ReferencePairState.walk` called as `_walk` is: the callbacks get the
+    word, the placed letters and the loose ones (those with a non-neighbour
+    whose pair still alternates), and the finished word or None comes back.
+    The loose letters are read off `broken`, and a witness by them is one by
+    the reference's own `is_witness`."""
+    state = _ReferencePairState(g, caps)
+
+    def stop():
+        loose = sum(1 << x for x, m in enumerate(state.nonadj) if m & ~state.broken[x])
+        assert (state.placed == state.full and not loose) == state.is_witness()
+        return done(state.word, state.placed, loose)
+
+    found = state.walk(budget, lambda s: bar(s.word, s.placed), stop)
+    return tuple(state.word) if found else None
+
+
+def _visits(walk, g, caps, bar, stop):
+    """The words on which `walk` over g within `caps` calls `done`, in
     order and each with whether it is a witness, then the walk's node
-    count, its verdict and the word it leaves; `stop(state)` is the
+    count, its verdict and the word it leaves; `stop(word, witness)` is the
     search's own test of a finished word."""
-    state = state_class(g, caps)
+    full = (1 << g.n) - 1
     budget = _Budget()
     words = []
 
-    def done():
-        words.append((tuple(state.word), state.is_witness()))
-        return stop(state)
+    def done(word, placed, loose):
+        words.append((tuple(word), placed == full and not loose))
+        return stop(*words[-1])
 
-    found = state.walk(budget, bar, done)
-    return words, budget.nodes, found, tuple(state.word)
+    found = walk(g, caps, budget, bar, done)
+    return words, budget.nodes, found is not None, found or ()
 
 
 def _assert_same_visits(g, caps, make_bar, stop):
-    expected = _visits(_ReferencePairState, g, caps, make_bar(), stop)
-    assert _visits(_PairState, g, caps, make_bar(), stop) == expected, (g, caps)
+    expected = _visits(_reference_walk, g, caps, make_bar(), stop)
+    assert _visits(_walk, g, caps, make_bar(), stop) == expected, (g, caps)
     return expected[1]
 
 
@@ -1050,7 +1095,7 @@ def test_walk_visits_the_words_of_the_reference_walk():
         for k in (1, 2, 3):
             length = g.n * k
             nodes += _assert_same_visits(
-                g, [k] * g.n, lambda: _symmetry_bar(g), lambda s: len(s.word) == length
+                g, [k] * g.n, lambda: _symmetry_bar(g), lambda word, witness: len(word) == length
             )
         if g.n == 6:  # about a million pattern nodes more
             continue
@@ -1059,16 +1104,18 @@ def test_walk_visits_the_words_of_the_reference_walk():
             nodes += _assert_same_visits(
                 g,
                 [caps[v] for v in g.vertices()],
-                lambda: lambda s: _occurrence_mask(s.word, t, g.n),
-                lambda s: s.is_witness(),
+                lambda: lambda word, placed: _occurrence_mask(word, t, g.n),
+                lambda word, witness: witness,
             )
             if g.n < 4:
                 for max_len in range(2 * g.n + 1):
                     nodes += _assert_same_visits(
                         g,
                         [max_len] * g.n,
-                        lambda: lambda s: -1 if len(s.word) == max_len else _occurrence_mask(s.word, t, g.n),
-                        lambda s: False,
+                        lambda: lambda word, placed: (
+                            -1 if len(word) == max_len else _occurrence_mask(word, t, g.n)
+                        ),
+                        lambda word, witness: False,
                     )
     assert nodes > 100_000
 #
