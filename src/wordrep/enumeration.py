@@ -217,7 +217,14 @@ def _load_checkpoint(path):
     return verdicts, torn
 
 
-def census(corpus, **kw):
+def census(
+    corpus,
+    jobs=1,
+    checkpoint=None,
+    max_nodes=None,
+    max_seconds=None,
+    progress=None,
+):
     """Map every corpus member to a representability verdict.
 
     Returns {canonical hex: verdict}; order of evaluation never affects the
@@ -226,20 +233,8 @@ def census(corpus, **kw):
     appended to the file as they arrive, one flushed line each, and
     already-decided graphs are skipped on resume.  Raises BudgetExhausted if
     any member's search was cut short, since a census with budget holes
-    cannot certify counts.  The keywords are those of `_census`.
+    cannot certify counts.
     """
-    return _census(corpus, **kw)[1]
-
-
-def _census(
-    corpus,
-    jobs=1,
-    checkpoint=None,
-    max_nodes=None,
-    max_seconds=None,
-    progress=None,
-):
-    """`census`, and the canonical hex of each corpus member in corpus order."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     _check_limits(max_nodes, max_seconds)
@@ -274,7 +269,7 @@ def _census(
             f"{undecided} of {len(keys)} graphs hit the search budget; "
             "counts would not be trustworthy"
         )
-    return keys, out
+    return out
 
 
 def count_non_representable(corpus, **kw):
@@ -287,8 +282,9 @@ def count_non_representable(corpus, **kw):
 def non_representable_members(corpus, **kw):
     """Corpus members that are not word-representable, in corpus order."""
     graphs = list(corpus)  # read once: a one-shot iterable has no second pass
-    keys, verdicts = _census(graphs, **kw)
-    return [g for g, key in zip(graphs, keys) if verdicts[key] == "non_representable"]
+    verdicts = census(graphs, **kw)
+    # each member's key is the canonical form that the census cached on it
+    return [g for g in graphs if verdicts[g._key.hex()] == "non_representable"]
 
 
 def minimal_non_representable(corpus, **kw):

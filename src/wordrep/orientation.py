@@ -4,10 +4,10 @@ An orientation assigns a direction to every edge.  It is semi-transitive when
 it is acyclic and, for every arc u->v, the sub-orientation induced by u, v and
 all vertices lying on directed u->v paths is transitive; a graph is
 word-representable exactly when it admits such an orientation, so the
-backtracking search here doubles as the representability decision procedure.
-It keeps its own stack, so it takes graphs of any size and stops only at a
-verdict or when its budget runs out.  Its forced-arc propagation works on
-adjacency bitmasks.  It orients its first edge one way only: reversing every
+backtracking search here, `_orient`, doubles as the representability
+decision procedure.  It keeps its own stack, so it takes graphs of any size
+and stops only at a verdict or when its budget runs out.  Its forced-arc
+propagation works on adjacency bitmasks.  It orients its first edge one way only: reversing every
 arc of a semi-transitive orientation gives another one (it stays acyclic, and
 a reversed shortcut is a shortcut), so some witness takes that direction.  The
 unrestricted search tried that direction first too, so witnesses are
@@ -217,47 +217,49 @@ def _orient_by_rank(g, rank):
 # -- backtracking search for a semi-transitive orientation --------------------
 
 
-class _OrientSearch:
-    """Edge-by-edge orientation search with forced-arc propagation.
+def _orient(g, budget):
+    """First semi-transitive orientation of g in branch order, else None: an
+    edge-by-edge search with forced-arc propagation.
 
     Propagation closes directed triangles (the third edge of a triangle with
     a directed 2-path is forced away from a 3-cycle) and completes
     quadrilaterals: for a directed 2-path u->x->v and a common neighbor w of
     u and v, unless both u,v and w,x are adjacent, the only completion that
     avoids cycles and shortcuts is u->w, w->v.  Propagation is conservative;
-    each complete assignment is still verified by the full shortcut check.
+    each complete assignment is still checked by `is_semi_transitive`.
 
     The root edge a-b (depth 0) is branched as a->b only.  The reverse of a
     semi-transitive orientation is semi-transitive, so if one exists, one
     holds a->b, and since propagation only adds arcs that every completion
     must hold, the a->b subtree contains it.
+
+    A depth-first search over one explicit stack, so its depth is bounded
+    by the budget alone.  Each entry is a branch point whose arc
+    propagated: the edge's index, the trail of that arc, and the arc left
+    to try on the edge (None once both are tried, and at the root edge).
+    Every node ticks the budget once: the root, and each branch whose arc
+    propagates without contradiction.
     """
+    adj = g.adj
+    succ = [0] * g.n
+    pred = [0] * g.n
+    deg = [a.bit_count() for a in adj]
+    # branch on edges with high-degree endpoints first: the edges are
+    # bucketed by the lower degree of their ends, and each bucket keeps
+    # lexicographic order
+    buckets = [[] for _ in range(g.n)]
+    for u, a in enumerate(adj):
+        for v in _bits(a >> u + 1 << u + 1):
+            buckets[min(deg[u], deg[v])].append((u, v))
+    edges = [e for bucket in reversed(buckets) for e in bucket]
 
-    def __init__(self, g, budget):
-        self.g = g
-        self.n = g.n
-        self.adj = g.adj
-        self.succ = [0] * g.n
-        self.pred = [0] * g.n
-        self.budget = budget
-        deg = [a.bit_count() for a in self.adj]
-        # branch on edges with high-degree endpoints first: the edges are
-        # bucketed by the lower degree of their ends, and each bucket keeps
-        # lexicographic order
-        buckets = [[] for _ in range(g.n)]
-        for u, a in enumerate(self.adj):
-            for v in _bits(a >> u + 1 << u + 1):
-                buckets[min(deg[u], deg[v])].append((u, v))
-        self.edges = [e for bucket in reversed(buckets) for e in bucket]
-
-    def _propagate(self, a, b, trail):
+    def propagate(a, b, trail):
         """Add arc a->b and every arc it forces, recording them on trail;
         False on contradiction.
 
         The forced arcs form one least closure, whatever order the queue
         takes them in, so the outcome and the arcs added do not depend on it.
         """
-        adj, succ, pred = self.adj, self.succ, self.pred
         queue = [(a, b)]
         for a, b in queue:
             bit_a, bit_b = 1 << a, 1 << b
@@ -311,51 +313,40 @@ class _OrientSearch:
                 queue += [(c, b) for c in _bits(tails)]
         return True
 
-    def search(self):
-        """First semi-transitive completion in branch order, else None.
-
-        A depth-first search over one explicit stack, so its depth is bounded
-        by the budget alone.  Each entry is a branch point whose arc
-        propagated: the edge's index, the trail of that arc, and the arc
-        left to try on the edge (None once both are tried, and at the root
-        edge).  Every node ticks the budget once: the root, and each branch
-        whose arc propagates without contradiction.
-        """
-        edges, succ, pred = self.edges, self.succ, self.pred
-        stack = []
-        depth = 0
-        while True:
-            self.budget.tick()
-            while depth < len(edges):
-                a, b = edges[depth]
-                if not (succ[a] >> b | succ[b] >> a) & 1:  # a-b is unoriented
+    stack = []
+    depth = 0
+    while True:
+        budget.tick()
+        while depth < len(edges):
+            a, b = edges[depth]
+            if not (succ[a] >> b | succ[b] >> a) & 1:  # a-b is unoriented
+                break
+            depth += 1
+        if depth < len(edges):
+            arc = edges[depth]
+            rest = (b, a) if depth else None
+        else:
+            o = Orientation._from_succ(g, succ)
+            if is_semi_transitive(o):
+                return o
+            arc = None
+        while True:  # the next arc that propagates, here or further up
+            if arc is not None:
+                trail = []
+                a, b = arc
+                if propagate(a, b, trail):
+                    stack.append((depth, trail, rest))
+                    depth += 1
                     break
-                depth += 1
-            if depth < len(edges):
-                arc = edges[depth]
-                rest = (b, a) if depth else None
+                arc, rest = rest, None
+            elif stack:
+                depth, trail, arc = stack.pop()
+                rest = None
             else:
-                order = topological_order(Orientation._from_succ(self.g, succ))
-                if order is not None and _shortcut_free(succ, order):
-                    return list(succ)
-                arc = None
-            while True:  # the next arc that propagates, here or further up
-                if arc is not None:
-                    trail = []
-                    a, b = arc
-                    if self._propagate(a, b, trail):
-                        stack.append((depth, trail, rest))
-                        depth += 1
-                        break
-                    arc, rest = rest, None
-                elif stack:
-                    depth, trail, arc = stack.pop()
-                    rest = None
-                else:
-                    return None
-                for x, y in reversed(trail):  # the arc that failed or is backed out of
-                    succ[x] &= ~(1 << y)
-                    pred[y] &= ~(1 << x)
+                return None
+            for x, y in reversed(trail):  # the arc that failed or is backed out of
+                succ[x] &= ~(1 << y)
+                pred[y] &= ~(1 << x)
 
 
 # -- transitive orientations (comparability) ----------------------------------
@@ -516,13 +507,8 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
         return SearchOutcome(
             REFUTED, None, 0, time.monotonic() - start, {"route": "filter", "vertex": v}
         )
-
-    def kernel():
-        succ = _OrientSearch(g, budget).search()
-        return None if succ is None else Orientation._from_succ(g, succ)
-
     out = run_search(
-        kernel,
+        lambda: _orient(g, budget),
         budget,
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
         {"route": "search"},

@@ -91,8 +91,9 @@ def run_search(kernel, budget, verify, detail=None):
     and which `budget.tick()` stops when the budget is spent.
 
     `nodes_expanded` counts this call's share of a budget that several
-    searches may spend.  A witness that `verify` rejects is a defect of the
-    search, so it raises `AssertionError` rather than being returned.
+    searches may spend, and `elapsed` covers the kernel and `verify`.  A
+    witness that `verify` rejects is a defect of the search, so it raises
+    `AssertionError` rather than being returned.
     """
     start = time.monotonic()
     spent = budget.nodes
@@ -102,7 +103,7 @@ def run_search(kernel, budget, verify, detail=None):
         status = REFUTED if witness is None else WITNESS
     except _OutOfBudget:
         status = BUDGET_EXHAUSTED
-    elapsed = time.monotonic() - start
     if witness is not None and not verify(witness):
         raise AssertionError(f"search returned a witness that fails its check: {witness!r}")
+    elapsed = time.monotonic() - start
     return SearchOutcome(status, witness, budget.nodes - spent, elapsed, detail or {})

@@ -32,13 +32,10 @@ letter 1 first too, so witnesses are unchanged; only refutations shrink.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import replace
 
 from .graphs import CANONICAL_CEILING, automorphisms, _bits
 from .orientation import _comparability, find_semi_transitive
 from .outcome import (
-    REFUTED,
     WITNESS,
     SearchOutcome,
     _Budget,
@@ -419,63 +416,63 @@ def permutational_representation_number(g, max_nodes=None, max_seconds=None):
     extension per critical pair, reversing it, realizes P, which bounds p.
     """
     budget = _Budget(max_nodes, max_seconds)
-    start = time.monotonic()
     n = g.n
     if n == 0:
         return SearchOutcome(WITNESS, (), 0, 0.0, {"permutations": 0})
-    succ, _ = _comparability(g.adj)
-    if succ is None:
-        return SearchOutcome(REFUTED, None, 0, time.monotonic() - start)
-    pred = [sum(1 << a for a in range(n) if succ[a] >> b & 1) for b in range(n)]
-    pairs = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b
-        and not g.adj[a] >> b & 1
-        and pred[a] & ~pred[b] == 0
-        and succ[b] & ~succ[a] == 0
-    ]
     detail = {}
 
-    def realize(p):
-        """At most p extensions of P, as (succ, pred) masks of closed
-        orders, that reverse every critical pair, or None.
-
-        A depth-first search over its own stack: each entry holds a node's
-        extensions, the pair it branches on and the options left to try."""
-        exts, stack = [], []
-        while True:
-            budget.tick()
-            best = None
-            for a, b in pairs:
-                if any(up[b] >> a & 1 for up, _ in exts):
-                    continue
-                # b->a keeps an extension acyclic unless it holds a->b; unused
-                # extensions are all P, so only the first of them is tried
-                options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
-                if len(exts) < p:
-                    options.append(len(exts))
-                if best is None or len(options) < len(best[2]):
-                    best = (a, b, options)
-            if best is None:
-                return exts
-            a, b, options = best
-            while not options:
-                if not stack:
-                    return None
-                exts, a, b, options = stack.pop()
-            i = options.pop(0)
-            stack.append((exts, a, b, options))
-            up, down = map(list, exts[i] if i < len(exts) else (succ, pred))
-            low, high = down[b] | 1 << b, up[a] | 1 << a
-            for x in _bits(low):
-                up[x] |= high
-            for y in _bits(high):
-                down[y] |= low
-            exts = exts[:i] + [(up, down)] + exts[i + 1 :]
-
     def kernel():
+        succ, _ = _comparability(g.adj)
+        if succ is None:
+            return None
+        pred = [sum(1 << a for a in range(n) if succ[a] >> b & 1) for b in range(n)]
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            and not g.adj[a] >> b & 1
+            and pred[a] & ~pred[b] == 0
+            and succ[b] & ~succ[a] == 0
+        ]
+
+        def realize(p):
+            """At most p extensions of P, as (succ, pred) masks of closed
+            orders, that reverse every critical pair, or None.
+
+            A depth-first search over its own stack: each entry holds a node's
+            extensions, the pair it branches on and the options left to try."""
+            exts, stack = [], []
+            while True:
+                budget.tick()
+                best = None
+                for a, b in pairs:
+                    if any(up[b] >> a & 1 for up, _ in exts):
+                        continue
+                    # b->a keeps an extension acyclic unless it holds a->b; unused
+                    # extensions are all P, so only the first of them is tried
+                    options = [i for i, (up, _) in enumerate(exts) if not up[a] >> b & 1]
+                    if len(exts) < p:
+                        options.append(len(exts))
+                    if best is None or len(options) < len(best[2]):
+                        best = (a, b, options)
+                if best is None:
+                    return exts
+                a, b, options = best
+                while not options:
+                    if not stack:
+                        return None
+                    exts, a, b, options = stack.pop()
+                i = options.pop(0)
+                stack.append((exts, a, b, options))
+                up, down = map(list, exts[i] if i < len(exts) else (succ, pred))
+                low, high = down[b] | 1 << b, up[a] | 1 << a
+                for x in _bits(low):
+                    up[x] |= high
+                for y in _bits(high):
+                    down[y] |= low
+                exts = exts[:i] + [(up, down)] + exts[i + 1 :]
+
         for p in range(1, max(1, len(pairs)) + 1):
             exts = realize(p)
             if exts is not None:
@@ -489,5 +486,5 @@ def permutational_representation_number(g, max_nodes=None, max_seconds=None):
                 )
         raise AssertionError("no realizer of a transitive orientation within its critical pairs")
 
-    out = run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)
-    return replace(out, elapsed=time.monotonic() - start)
+    return run_search(kernel, budget, lambda w: word_to_graph(w) == g, detail)
+

@@ -23,8 +23,9 @@ from wordrep.graphs import (
 )
 from wordrep.orientation import (
     Orientation,
-    _OrientSearch,
+    _orient,
     _orients_each_edge_once,
+    _shortcut_free,
     find_semi_transitive,
     find_transitive,
     is_acyclic,
@@ -35,9 +36,18 @@ from wordrep.orientation import (
     neighborhood_filter,
     orientation_from_coloring,
     three_color,
+    topological_order,
     word_to_orientation,
 )
-from wordrep.outcome import BudgetExhausted, _Budget, _OutOfBudget
+from wordrep.outcome import (
+    BUDGET_EXHAUSTED,
+    REFUTED,
+    WITNESS,
+    BudgetExhausted,
+    _Budget,
+    _OutOfBudget,
+    run_search,
+)
 from wordrep.repnum import permutational_representation_number
 from wordrep.words import word_to_graph
 
@@ -144,8 +154,8 @@ def raw_search(g):
     """(succ or None, nodes) of the orientation search alone, without the
     comparability and filter routes."""
     budget = _Budget()
-    succ = _OrientSearch(g, budget).search()
-    return (None if succ is None else tuple(succ)), budget.nodes
+    o = _orient(g, budget)
+    return (None if o is None else o.succ), budget.nodes
 
 
 def search_result(out):
@@ -232,13 +242,13 @@ def test_decide_is_the_filter_then_the_search():
 
 def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     filtered, searched = [], []
-    real_filter, real_search = orientation.neighborhood_filter, orientation._OrientSearch
+    real_filter, real_search = orientation.neighborhood_filter, orientation._orient
     monkeypatch.setattr(
         orientation, "neighborhood_filter", lambda g: filtered.append(g) or real_filter(g)
     )
     monkeypatch.setattr(
         orientation,
-        "_OrientSearch",
+        "_orient",
         lambda g, budget: searched.append(g) or real_search(g, budget),
     )
     for g in (families.crown(4), families.complete(6), families.path(7), families.empty(3)):
@@ -271,7 +281,7 @@ def test_elapsed_covers_every_route(monkeypatch):
     for name, step in (
         ("_transitive_orientation", 1),
         ("neighborhood_filter", 10),
-        ("_OrientSearch", 100),
+        ("_orient", 100),
     ):
         monkeypatch.setattr(orientation, name, advancing(step, getattr(orientation, name)))
     for g, route, elapsed in (
@@ -694,12 +704,14 @@ def raises(call):
         return True
     return False
 
+forge = orientation.Orientation._from_succ
 # a directed cycle is no semi-transitive orientation; C5 passes TRO and the
 # filter, so the search gives the witness
-orientation._OrientSearch.search = lambda self: [0b00010, 0b00100, 0b01000, 0b10000, 0b00001]
+cycle = [0b00010, 0b00100, 0b01000, 0b10000, 0b00001]
+orientation._orient = lambda g, budget: forge(g, cycle)
 semi = raises(lambda: orientation.find_semi_transitive(families.cycle(5)))
 # an orientation with no arcs leaves every edge of Petersen unoriented
-orientation._OrientSearch.search = lambda self: [0] * self.n
+orientation._orient = lambda g, budget: forge(g, [0] * g.n)
 semi_empty = raises(lambda: orientation.find_semi_transitive(families.petersen()))
 # 1->2->3 without the arc 1->3 is not transitive
 orientation._transitive_orientation = lambda adj: ([0b010, 0b100, 0b000], 1)
@@ -820,6 +832,152 @@ def reference_trans_search(g):
     if g.m == 0:
         return True
     return _ReferenceTransSearch(g, _Budget()).search() is not None
+
+
+# The semi-transitive search as the class it was before it became the
+# function `_orient`, kept verbatim: the reference that `_orient` must match
+# node for node, and the base of the two searches below.
+
+
+class _OrientSearch:
+    """Edge-by-edge orientation search with forced-arc propagation.
+
+    Propagation closes directed triangles (the third edge of a triangle with
+    a directed 2-path is forced away from a 3-cycle) and completes
+    quadrilaterals: for a directed 2-path u->x->v and a common neighbor w of
+    u and v, unless both u,v and w,x are adjacent, the only completion that
+    avoids cycles and shortcuts is u->w, w->v.  Propagation is conservative;
+    each complete assignment is still verified by the full shortcut check.
+
+    The root edge a-b (depth 0) is branched as a->b only.  The reverse of a
+    semi-transitive orientation is semi-transitive, so if one exists, one
+    holds a->b, and since propagation only adds arcs that every completion
+    must hold, the a->b subtree contains it.
+    """
+
+    def __init__(self, g, budget):
+        self.g = g
+        self.n = g.n
+        self.adj = g.adj
+        self.succ = [0] * g.n
+        self.pred = [0] * g.n
+        self.budget = budget
+        deg = [a.bit_count() for a in self.adj]
+        # branch on edges with high-degree endpoints first: the edges are
+        # bucketed by the lower degree of their ends, and each bucket keeps
+        # lexicographic order
+        buckets = [[] for _ in range(g.n)]
+        for u, a in enumerate(self.adj):
+            for v in _bits(a >> u + 1 << u + 1):
+                buckets[min(deg[u], deg[v])].append((u, v))
+        self.edges = [e for bucket in reversed(buckets) for e in bucket]
+
+    def _propagate(self, a, b, trail):
+        """Add arc a->b and every arc it forces, recording them on trail;
+        False on contradiction.
+
+        The forced arcs form one least closure, whatever order the queue
+        takes them in, so the outcome and the arcs added do not depend on it.
+        """
+        adj, succ, pred = self.adj, self.succ, self.pred
+        queue = [(a, b)]
+        for a, b in queue:
+            bit_a, bit_b = 1 << a, 1 << b
+            if succ[a] & bit_b:
+                continue  # already applied, consequences already queued
+            if succ[b] & bit_a:
+                return False  # already oriented the other way
+            if succ[b] and pred[a]:  # would a->b close a directed cycle?
+                seen = frontier = bit_b
+                while frontier:
+                    reach = 0
+                    for v in _bits(frontier):
+                        reach |= succ[v]
+                    if reach & bit_a:
+                        return False
+                    frontier = reach & ~seen
+                    seen |= frontier
+            succ[a] |= bit_b
+            pred[b] |= bit_a
+            trail.append((a, b))
+            # triangle closure: a->b->c forces a->c, and c->a->b forces c->b
+            common = adj[a] & adj[b]
+            heads = succ[b] & common
+            tails = pred[a] & common
+            # quadrilateral completion around every new 2-path u->x->v
+            # through a->b: it forces u->w->v for the common neighbours w of
+            # u and v other than x, less x's neighbours when u, v are adjacent
+            if pred[a]:
+                for u in _bits(pred[a]):  # u->a->b
+                    w = adj[u] & adj[b] & ~bit_a
+                    if adj[u] & bit_b:
+                        w &= ~adj[a]
+                    tails |= w
+                    w &= ~succ[u]
+                    if w:
+                        queue += [(u, c) for c in _bits(w)]
+            if succ[b]:
+                for v in _bits(succ[b]):  # a->b->v
+                    w = adj[a] & adj[v] & ~bit_b
+                    if adj[a] >> v & 1:
+                        w &= ~adj[b]
+                    heads |= w
+                    w &= ~pred[v]
+                    if w:
+                        queue += [(c, v) for c in _bits(w)]
+            heads &= ~succ[a]
+            if heads:
+                queue += [(a, c) for c in _bits(heads)]
+            tails &= ~pred[b]
+            if tails:
+                queue += [(c, b) for c in _bits(tails)]
+        return True
+
+    def search(self):
+        """First semi-transitive completion in branch order, else None.
+
+        A depth-first search over one explicit stack, so its depth is bounded
+        by the budget alone.  Each entry is a branch point whose arc
+        propagated: the edge's index, the trail of that arc, and the arc
+        left to try on the edge (None once both are tried, and at the root
+        edge).  Every node ticks the budget once: the root, and each branch
+        whose arc propagates without contradiction.
+        """
+        edges, succ, pred = self.edges, self.succ, self.pred
+        stack = []
+        depth = 0
+        while True:
+            self.budget.tick()
+            while depth < len(edges):
+                a, b = edges[depth]
+                if not (succ[a] >> b | succ[b] >> a) & 1:  # a-b is unoriented
+                    break
+                depth += 1
+            if depth < len(edges):
+                arc = edges[depth]
+                rest = (b, a) if depth else None
+            else:
+                order = topological_order(Orientation._from_succ(self.g, succ))
+                if order is not None and _shortcut_free(succ, order):
+                    return list(succ)
+                arc = None
+            while True:  # the next arc that propagates, here or further up
+                if arc is not None:
+                    trail = []
+                    a, b = arc
+                    if self._propagate(a, b, trail):
+                        stack.append((depth, trail, rest))
+                        depth += 1
+                        break
+                    arc, rest = rest, None
+                elif stack:
+                    depth, trail, arc = stack.pop()
+                    rest = None
+                else:
+                    return None
+                for x, y in reversed(trail):  # the arc that failed or is backed out of
+                    succ[x] &= ~(1 << y)
+                    pred[y] &= ~(1 << x)
 
 
 class _ReferenceOrientSearch(_OrientSearch):
@@ -1043,6 +1201,53 @@ def test_search_branches_on_edges_by_their_lower_degree():
         edges = [(u - 1, v - 1) for u, v in g.edges()]
         expected = sorted(edges, key=lambda e: -min(deg[e[0]], deg[e[1]]))
         assert _OrientSearch(g, _Budget()).edges == expected, g
+
+
+def _random_graphs(count, seed, low, high, density):
+    """`count` seeded graphs on `low` to `high` vertices, connected or not,
+    each with an edge probability drawn from the range `density`."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(low, high)
+        p = rng.uniform(*density)
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        out.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+def _orient_against_the_class(g, max_nodes=None):
+    """`_orient` and the frozen `_OrientSearch` on g, each under a budget of
+    `max_nodes`: their (status, succ, nodes) must agree, and `_orient`'s
+    outcome is returned."""
+    new, old = _Budget(max_nodes), _Budget(max_nodes)
+    out = run_search(lambda: _orient(g, new), new, lambda o: True)
+    ref = run_search(lambda: _OrientSearch(g, old).search(), old, lambda succ: True)
+    assert search_result(out) == (
+        None if ref.witness is None else tuple(ref.witness),
+        ref.nodes_expanded,
+    ), g
+    assert out.status == ref.status, g
+    return out
+
+
+def test_orient_matches_the_class_it_replaced():
+    graphs = [g for n in range(1, 8) for g in generate_all(n)] + atlas_graphs()
+    graphs += _random_graphs(300, seed=17, low=9, high=14, density=(0.2, 0.8))
+    statuses = set()
+    for g in graphs:
+        out = _orient_against_the_class(g)
+        statuses.add(out.status)
+        # a budget one node short stops both at the same last node
+        if out.nodes_expanded > 1:
+            stopped = _orient_against_the_class(g, max_nodes=out.nodes_expanded - 1)
+            assert stopped.status == BUDGET_EXHAUSTED, g
+    assert statuses == {WITNESS, REFUTED}
+    sparse = [
+        _orient_against_the_class(g, max_nodes=20_000).status
+        for g in _random_graphs(20, seed=18, low=20, high=40, density=(0.05, 0.15))
+    ]
+    assert set(sparse) == {WITNESS, REFUTED, BUDGET_EXHAUSTED}
 
 
 def test_semi_transitive_search_matches_reference_propagation():

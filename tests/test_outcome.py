@@ -144,3 +144,39 @@ def test_the_library_recurses_only_where_pinned():
     # the scan sees a recursion: a function and a method that call themselves
     probe = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    def g(self):\n        self.g()\n")
     assert _self_calls(probe, "m") == ["m.f", "m.C.g"]
+
+
+def _ticking_methods(tree, module):
+    """Qualified names of the methods of classes in `tree` that call
+    `.tick()`, nested functions included."""
+    return [
+        f"{module}.{cls.name}.{method.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "tick"
+            for call in ast.walk(method)
+        )
+    ]
+
+
+def test_every_budgeted_search_is_a_function():
+    # a search keeps its state in the locals of one function, not on an
+    # object whose methods tick the budget
+    src = Path(__file__).resolve().parent.parent / "src" / "wordrep"
+    found = [
+        name
+        for path in sorted(src.glob("*.py"))
+        for name in _ticking_methods(ast.parse(path.read_text(), str(path)), path.stem)
+    ]
+    assert found == [], f"a method ticks the budget, make its search a function: {found}"
+    # the scan sees a method that ticks, and no function that does
+    probe = ast.parse(
+        "def f(budget):\n    budget.tick()\n"
+        "class C:\n    def g(self):\n        self.budget.tick()\n"
+    )
+    assert _ticking_methods(probe, "m") == ["m.C.g"]

@@ -358,7 +358,7 @@ def test_perm_number_budget():
 def test_perm_elapsed_covers_the_whole_call(monkeypatch):
     # a stub clock that only the call's work moves: TRO by 1, each search
     # node by 100 and the witness check by 10
-    from wordrep import repnum
+    from wordrep import outcome, repnum
 
     now = [0.0]
 
@@ -369,7 +369,7 @@ def test_perm_elapsed_covers_the_whole_call(monkeypatch):
 
         return timed
 
-    monkeypatch.setattr(repnum, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(outcome, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(repnum, "_comparability", advancing(1, repnum._comparability))
     monkeypatch.setattr(repnum, "word_to_graph", advancing(10, repnum.word_to_graph))
     monkeypatch.setattr(_Budget, "tick", advancing(100, _Budget.tick))
@@ -379,6 +379,25 @@ def test_perm_elapsed_covers_the_whole_call(monkeypatch):
     ):
         out = permutational_representation_number(g)
         assert (out.status, out.elapsed) == (status, elapsed), g
+
+
+def test_elapsed_covers_the_witness_check(monkeypatch):
+    # a stub clock that only the witness check moves, by 10
+    from wordrep import outcome, repnum
+
+    now = [0.0]
+
+    def checked(w):
+        now[0] += 10
+        return word_to_graph(w)
+
+    monkeypatch.setattr(outcome, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(repnum, "word_to_graph", checked)
+    for out in (
+        find_k_uniform_word(families.cycle(6), 2),
+        find_pattern_avoiding_word(families.cycle(5), (1, 3, 2)),
+    ):
+        assert (out.status, out.elapsed) == (WITNESS, 10)
 
 
 def test_perm_search_has_no_size_ceiling():
