@@ -58,6 +58,8 @@ def crown(n):
 
 def crown_apex(n):
     """Crown graph plus an all-adjacent vertex 2n+1."""
+    if n < 1:
+        raise ValueError("crown_apex needs n >= 1")
     return add_apex(crown(n))
 
 

@@ -7,9 +7,11 @@ word-representable exactly when it admits such an orientation, so the
 backtracking search here, `_orient`, doubles as the representability
 decision procedure.  It keeps its own stack, so it takes graphs of any size
 and stops only at a verdict or when its budget runs out.  Its forced-arc
-propagation works on adjacency bitmasks.  It orients its first edge one way only: reversing every
-arc of a semi-transitive orientation gives another one (it stays acyclic, and
-a reversed shortcut is a shortcut), so some witness takes that direction.  The
+propagation works on adjacency bitmasks and assigns each forced arc the moment
+a rule forces it, so a propagation that fails stops at its first conflict.
+It orients its first edge one way only: reversing every arc of a
+semi-transitive orientation gives another one (it stays acyclic, and a
+reversed shortcut is a shortcut), so some witness takes that direction.  The
 unrestricted search tried that direction first too, so witnesses are
 unchanged; only refutations shrink.
 
@@ -217,9 +219,11 @@ def _orient_by_rank(g, rank):
 # -- backtracking search for a semi-transitive orientation --------------------
 
 
-def _orient(g, budget):
+def _orient(g, budget, detail=None):
     """First semi-transitive orientation of g in branch order, else None: an
-    edge-by-edge search with forced-arc propagation.
+    edge-by-edge search with forced-arc propagation.  `detail`, when given,
+    gets `conflicts`: the number of propagations that failed, kept current
+    so that it holds when the budget stops the search too.
 
     Propagation closes directed triangles (the third edge of a triangle with
     a directed 2-path is forced away from a 3-cycle) and completes
@@ -237,8 +241,10 @@ def _orient(g, budget):
     by the budget alone.  Each entry is a branch point whose arc
     propagated: the edge's index, the trail of that arc, and the arc left
     to try on the edge (None once both are tried, and at the root edge).
-    Every node ticks the budget once: the root, and each branch whose arc
-    propagates without contradiction.
+    Every arc a propagation assigns is on its trail, so undoing the trail
+    restores the state before it, whether the propagation failed or is
+    backed out of.  Every node ticks the budget once: the root, and each
+    branch whose arc propagates without contradiction.
     """
     adj = g.adj
     succ = [0] * g.n
@@ -252,22 +258,29 @@ def _orient(g, budget):
         for v in _bits(a >> u + 1 << u + 1):
             buckets[min(deg[u], deg[v])].append((u, v))
     edges = [e for bucket in reversed(buckets) for e in bucket]
+    if detail is None:
+        detail = {}
+    detail["conflicts"] = 0
 
     def propagate(a, b, trail):
-        """Add arc a->b and every arc it forces, recording them on trail;
-        False on contradiction.
+        """Assign arc a->b, on an unoriented edge, and every arc it forces,
+        recording them on trail; False on contradiction.
 
-        The forced arcs form one least closure, whatever order the queue
-        takes them in, so the outcome and the arcs added do not depend on it.
+        A forced arc is assigned the moment a rule forces it, a mask at a
+        time, after one mask test against the arcs already assigned the
+        other way, so a contradiction stops the propagation at once.  The
+        trail is also the queue: each arc's consequences are drawn in turn,
+        and its cycle test runs then, over `succ` with the arcs forced but
+        not yet drawn, which all lie in the closure.  The forced arcs form
+        one least closure, whatever order they are drawn in, so the outcome
+        and the arcs assigned do not depend on it.
         """
-        queue = [(a, b)]
-        for a, b in queue:
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+        trail.append((a, b))
+        for a, b in trail:
             bit_a, bit_b = 1 << a, 1 << b
-            if succ[a] & bit_b:
-                continue  # already applied, consequences already queued
-            if succ[b] & bit_a:
-                return False  # already oriented the other way
-            if succ[b] and pred[a]:  # would a->b close a directed cycle?
+            if succ[b] and pred[a]:  # does a->b close a directed cycle?
                 seen = frontier = bit_b
                 while frontier:
                     reach = 0
@@ -277,9 +290,6 @@ def _orient(g, budget):
                         return False
                     frontier = reach & ~seen
                     seen |= frontier
-            succ[a] |= bit_b
-            pred[b] |= bit_a
-            trail.append((a, b))
             # triangle closure: a->b->c forces a->c, and c->a->b forces c->b
             common = adj[a] & adj[b]
             heads = succ[b] & common
@@ -293,24 +303,46 @@ def _orient(g, budget):
                     if adj[u] & bit_b:
                         w &= ~adj[a]
                     tails |= w
+                    if w & pred[u]:
+                        return False  # some c->u is assigned against u->c
                     w &= ~succ[u]
                     if w:
-                        queue += [(u, c) for c in _bits(w)]
+                        succ[u] |= w
+                        bit = 1 << u
+                        for c in _bits(w):
+                            pred[c] |= bit
+                            trail.append((u, c))
             if succ[b]:
                 for v in _bits(succ[b]):  # a->b->v
                     w = adj[a] & adj[v] & ~bit_b
                     if adj[a] >> v & 1:
                         w &= ~adj[b]
                     heads |= w
+                    if w & succ[v]:
+                        return False
                     w &= ~pred[v]
                     if w:
-                        queue += [(c, v) for c in _bits(w)]
+                        pred[v] |= w
+                        bit = 1 << v
+                        for c in _bits(w):
+                            succ[c] |= bit
+                            trail.append((c, v))
+            if heads & pred[a]:
+                return False
             heads &= ~succ[a]
             if heads:
-                queue += [(a, c) for c in _bits(heads)]
+                succ[a] |= heads
+                for c in _bits(heads):
+                    pred[c] |= bit_a
+                    trail.append((a, c))
+            if tails & succ[b]:
+                return False
             tails &= ~pred[b]
             if tails:
-                queue += [(c, b) for c in _bits(tails)]
+                pred[b] |= tails
+                for c in _bits(tails):
+                    succ[c] |= bit_b
+                    trail.append((c, b))
         return True
 
     stack = []
@@ -338,6 +370,7 @@ def _orient(g, budget):
                     stack.append((depth, trail, rest))
                     depth += 1
                     break
+                detail["conflicts"] += 1
                 arc, rest = rest, None
             elif stack:
                 depth, trail, arc = stack.pop()
@@ -507,11 +540,12 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
         return SearchOutcome(
             REFUTED, None, 0, time.monotonic() - start, {"route": "filter", "vertex": v}
         )
+    detail = {"route": "search"}
     out = run_search(
-        lambda: _orient(g, budget),
+        lambda: _orient(g, budget, detail),
         budget,
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
-        {"route": "search"},
+        detail,
     )
     return replace(out, elapsed=time.monotonic() - start)
 

@@ -133,6 +133,8 @@ def test_orient(capsys):
     payload, code = run(capsys, "orient", "family:petersen", "--format", "dot")
     assert code == 0 and payload["verdict"] is True and "->" in payload["dot"]
     assert payload["stats"]["route"] == "search" and "vertex" not in payload["stats"]
+    # Petersen's search meets 13 failed propagations before its witness
+    assert payload["stats"]["conflicts"] == 13
     payload, code = run(capsys, "orient", "family:wheel:5")
     assert code == 1 and payload["verdict"] is False
     assert payload["stats"]["exhaustive"] is True
@@ -141,6 +143,7 @@ def test_orient(capsys):
     assert code == 1 and payload["verdict"] is False
     stats = payload["stats"]
     assert (stats["route"], stats["vertex"], stats["nodes_expanded"]) == ("filter", 32, 0)
+    assert "conflicts" not in stats
     payload, code = run(capsys, "orient", "family:crown:30")
     assert code == 0 and payload["stats"]["route"] == "comparability"
 
@@ -476,6 +479,14 @@ def test_malformed_specs_exit_2_without_traceback(command, spec):
     code, text = _main_quietly([command, spec])
     assert code == 2, spec
     assert "Traceback" not in text and "error" in text
+
+
+def test_family_below_its_range_names_itself():
+    # crown_apex builds on crown, but its error names crown_apex
+    for name in ("crown", "crown_apex"):
+        code, text = _main_quietly(["orient", f"family:{name}:0"])
+        assert code == 2 and "Traceback" not in text, name
+        assert json.loads(text)["error"] == f"{name} needs n >= 1", name
 
 
 def test_parse_family():

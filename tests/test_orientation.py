@@ -170,7 +170,8 @@ def test_find_semi_transitive_ceiling_and_budget():
     succ, _ = raw_search(crown)  # TRO settles the crown; the search takes it too
     assert is_semi_transitive(Orientation._from_succ(crown, succ))
     out = find_semi_transitive(families.petersen(), max_nodes=3)
-    assert out.status == "budget_exhausted" and out.detail == {"route": "search"}
+    assert out.status == "budget_exhausted"
+    assert out.detail == {"route": "search", "conflicts": 0}
     with pytest.raises(BudgetExhausted):
         out.require_conclusive()
 
@@ -234,7 +235,8 @@ def test_decide_is_the_filter_then_the_search():
     ):
         assert neighborhood_filter(g) is None
         out = find_semi_transitive(g)
-        assert out.detail == {"route": "search"}, g
+        assert set(out.detail) == {"route", "conflicts"}, g
+        assert out.detail["route"] == "search", g
         assert search_result(out) == raw_search(g), g
     assert find_semi_transitive(families.petersen(), max_nodes=1).status == "budget_exhausted"
     assert find_semi_transitive(families.empty(13)).detail == {"route": "comparability"}
@@ -249,7 +251,7 @@ def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     monkeypatch.setattr(
         orientation,
         "_orient",
-        lambda g, budget: searched.append(g) or real_search(g, budget),
+        lambda g, budget, detail: searched.append(g) or real_search(g, budget, detail),
     )
     for g in (families.crown(4), families.complete(6), families.path(7), families.empty(3)):
         out, tro = find_semi_transitive(g), find_transitive(g)
@@ -261,7 +263,7 @@ def test_decide_skips_the_filter_on_comparability_graphs(monkeypatch):
     assert out.refuted and out.detail == {"route": "filter", "vertex": 6}
     assert filtered == [families.wheel(5)] and searched == []
     out = find_semi_transitive(families.prism(3))
-    assert out.found and out.detail == {"route": "search"}
+    assert out.found and out.detail == {"route": "search", "conflicts": 0}
     assert searched == [families.prism(3)]
 
 
@@ -708,10 +710,10 @@ forge = orientation.Orientation._from_succ
 # a directed cycle is no semi-transitive orientation; C5 passes TRO and the
 # filter, so the search gives the witness
 cycle = [0b00010, 0b00100, 0b01000, 0b10000, 0b00001]
-orientation._orient = lambda g, budget: forge(g, cycle)
+orientation._orient = lambda g, budget, detail: forge(g, cycle)
 semi = raises(lambda: orientation.find_semi_transitive(families.cycle(5)))
 # an orientation with no arcs leaves every edge of Petersen unoriented
-orientation._orient = lambda g, budget: forge(g, [0] * g.n)
+orientation._orient = lambda g, budget, detail: forge(g, [0] * g.n)
 semi_empty = raises(lambda: orientation.find_semi_transitive(families.petersen()))
 # 1->2->3 without the arc 1->3 is not transitive
 orientation._transitive_orientation = lambda adj: ([0b010, 0b100, 0b000], 1)
@@ -1248,6 +1250,71 @@ def test_orient_matches_the_class_it_replaced():
         for g in _random_graphs(20, seed=18, low=20, high=40, density=(0.05, 0.15))
     ]
     assert set(sparse) == {WITNESS, REFUTED, BUDGET_EXHAUSTED}
+
+
+@st.composite
+def _graphs_of_any_density(draw, top):
+    """Graphs on 0..top vertices, each pair an edge with one drawn probability."""
+    n = draw(st.integers(min_value=0, max_value=top))
+    p = draw(st.floats(min_value=0, max_value=1))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph(n, [e for e in pairs if rng.random() < p])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_graphs_of_any_density(12))
+def test_orient_matches_the_class_on_any_density(g):
+    # propagation assigns each forced arc when it is forced; the class
+    # assigned it when it was dequeued, and both reach the same closure
+    out = _orient_against_the_class(g)
+    if out.nodes_expanded > 1:
+        stopped = _orient_against_the_class(g, max_nodes=out.nodes_expanded - 1)
+        assert stopped.status == BUDGET_EXHAUSTED, g
+
+
+class _CountingOrientSearch(_OrientSearch):
+    """The frozen class, counting the propagations that fail."""
+
+    conflicts = 0
+
+    def _propagate(self, a, b, trail):
+        if super()._propagate(a, b, trail):
+            return True
+        self.conflicts += 1
+        return False
+
+
+def _class_conflicts(g, max_nodes=None):
+    ref = _CountingOrientSearch(g, _Budget(max_nodes))
+    try:
+        ref.search()
+    except _OutOfBudget:
+        pass
+    return ref.conflicts
+
+
+def test_search_reports_its_conflicts():
+    import networkx as nx
+
+    graphs = [g for n in range(1, 8) for g in generate_all(n)]
+    graphs.append(_from_networkx(nx.mycielski_graph(5)))
+    searched = 0
+    for g in graphs:
+        out = find_semi_transitive(g)
+        if out.detail["route"] != "search":
+            assert "conflicts" not in out.detail, g
+            continue
+        searched += 1
+        assert out.detail["conflicts"] == _class_conflicts(g), g
+        if out.nodes_expanded > 1:
+            nodes = out.nodes_expanded - 1
+            stopped = find_semi_transitive(g, max_nodes=nodes)
+            assert stopped.status == BUDGET_EXHAUSTED, g
+            assert stopped.detail["conflicts"] == _class_conflicts(g, nodes), g
+    assert searched > 100
+    # M5 is refuted, and each of its 254 nodes leaves one failed propagation
+    assert (out.refuted, out.nodes_expanded, out.detail["conflicts"]) == (True, 254, 254)
 
 
 def test_semi_transitive_search_matches_reference_propagation():
