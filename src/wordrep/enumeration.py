@@ -5,7 +5,9 @@ Generation is by canonical augmentation: level n is built from level n-1 by
 attaching a new vertex of maximum degree, with one neighborhood from each
 orbit of the parent's automorphism group, and a child is kept only when the
 new vertex is in the orbit of its canonical last vertex, so each isomorphism
-class appears exactly once.  Representability decisions
+class appears exactly once.  That orbit lies in the last cell of the
+child's refined partition, so a child whose new vertex is outside it is
+dropped before the canonical search.  Representability decisions
 are independent per graph and can be distributed over worker processes; a
 line-oriented checkpoint file makes long runs resumable.
 """
@@ -25,7 +27,10 @@ from .graphs import (
     is_connected,
     _automorphism_generators,
     _bits,
+    _canonical_key,
+    _component_masks,
     _from_masks,
+    _refine_cells,
 )
 from .orientation import find_semi_transitive, is_word_representable
 from .outcome import BudgetExhausted, _check_limits
@@ -106,19 +111,29 @@ def _orbit_firsts(masks, gens):
     return firsts
 
 
-def _next_level(graphs):
+def _next_level(graphs, connected=False):
     """The next level by canonical augmentation, in increasing order of
-    canonical form, from the current one in the same order."""
+    canonical form, from the current one in the same order; with
+    `connected`, its connected graphs only (see `generate`).  Each child is
+    refined once: the cells serve the last-cell test and then the canonical
+    search, which leaves the child's `_key` and `_last`.
+    """
     level = []
     for parent in graphs:
-        new_vertex = 1 << parent.n
-        gens = _automorphism_generators(parent)
-        for child in _augmentations(parent, _orbit_firsts(_max_degree_hoods(parent), gens)):
-            key = canonical_form(child)
-            if child._last & new_vertex:
-                level.append((key, child))
-    level.sort(key=lambda pair: pair[0])
-    return [child for _, child in level]
+        m = parent.n
+        hoods = _orbit_firsts(_max_degree_hoods(parent), _automorphism_generators(parent))
+        if connected:
+            comps = _component_masks(parent)
+            hoods = [hood for hood in hoods if all(hood & comp for comp in comps)]
+        for child in _augmentations(parent, hoods):
+            cells = _refine_cells(child)
+            if cells[-1][-1] != m:  # cells list their vertices in increasing order
+                continue
+            child._key, child._last = _canonical_key(child, cells)
+            if child._last >> m & 1:
+                level.append(child)
+    level.sort(key=lambda child: child._key)
+    return level
 
 
 def generate(n, connected=True):
@@ -133,7 +148,10 @@ def generate(n, connected=True):
        generators `graphs._automorphism_generators` reads off P's own
        canonical search: one neighborhood per Aut(P)-orbit, and
     3. m is in the orbit of the canonical last vertex of G, the mask
-       `G._last` that `canonical_form` leaves.
+       `G._last` that the canonical search leaves.  That mask lies in the
+       last cell of G's refined partition, so a child with m outside that
+       cell fails the test before the search, which runs only on the
+       others, on the cells already refined.
     Every class appears once.  Take any graph of the class and its
     canonical last vertex x, which has maximum degree: the parent
     isomorphic to it minus x has a child isomorphic to it with m in place
@@ -151,14 +169,17 @@ def generate(n, connected=True):
     first in increasing order is the orbit's least neighborhood, and the
     children of one orbit pass or fail test 3 together.  No dictionary
     spans all the children of a level.
+
+    With `connected`, the last level skips each neighborhood that misses a
+    component of P: its child is disconnected, and every other child is
+    connected, so the graphs, their labels and their order are those of
+    the connected members of `generate(n, False)`.
     """
     if not 1 <= n <= GENERATION_CEILING:
         raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")
     graphs = [Graph(1)]
-    for _ in range(n - 1):
-        graphs = _next_level(graphs)
-    if connected:
-        graphs = [g for g in graphs if is_connected(g)]
+    for k in range(2, n + 1):
+        graphs = _next_level(graphs, connected and k == n)
     return Corpus(n, graphs, "generated", connected)
 
 

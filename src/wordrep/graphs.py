@@ -282,11 +282,17 @@ def disjoint_union(g, h):
 
 
 def is_connected(g):
-    return len(connected_components(g)) <= 1
+    return len(_component_masks(g)) <= 1
 
 
 def connected_components(g):
     """Vertex sets of the components, each sorted, ordered by least vertex."""
+    return [[v + 1 for v in _bits(mask)] for mask in _component_masks(g)]
+
+
+def _component_masks(g):
+    """The components of g as masks of 0-indexed vertices, ordered by least
+    vertex."""
     unvisited = (1 << g.n) - 1
     comps = []
     while unvisited:
@@ -299,7 +305,7 @@ def connected_components(g):
                 nxt |= g.adj[v]
             frontier = nxt & ~seen
             seen |= frontier
-        comps.append([v + 1 for v in _bits(seen)])
+        comps.append(seen)
         unvisited &= ~seen
     return comps
 
@@ -405,37 +411,49 @@ def _refine_cells(g):
     tuples compare in the reverse order of their vectors of neighbor counts
     per color, lowest color first: of two equally long sorted tuples, the
     one with more neighbors of the lowest color where the counts differ is
-    the smaller.  The counts are read off one mask per color and packed in
-    base n+1 into an integer, so the signature (color, tuple) becomes one
-    integer of the same rank.
+    the smaller.  Since the rank puts the old color first, a round replaces
+    each cell in place by its parts, in decreasing order of that vector.
+
+    Only the counts to the cells that split in the previous round are read,
+    from the masks of those cells, and only non-singleton cells are split.
+    Two vertices of one cell had equal counts to every cell of the round
+    before, since that is why they share a color; a cell that did not split
+    is still one of those, so the counts to it are equal within every cell,
+    and leaving them out of the vectors changes neither which vertices part
+    nor the order of the parts.  In the first round every degree class
+    counts as split.  The counts are packed in base n+1 into one integer
+    per vertex, which orders like the vector.
     """
     n = g.n
     adj = g.adj
-    degrees = [a.bit_count() for a in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    color = [rank[d] for d in degrees]
-    k = len(rank)
+    by_degree = {}
+    for v, a in enumerate(adj):
+        by_degree.setdefault(a.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    split = [sum(1 << v for v in cell) for cell in cells]  # masks of the new cells
     base = n + 1
-    while k < n:  # a discrete partition cannot split further
-        masks = [0] * k
-        for v, c in enumerate(color):
-            masks[c] |= 1 << v
-        top = base**k - 1  # the largest packed count vector
-        sig = []
-        for c, a in zip(color, adj):
-            packed = 0
-            for mask in masks:
-                packed = packed * base + (a & mask).bit_count()
-            sig.append(c * (top + 1) + top - packed)
-        palette = sorted(set(sig))
-        if len(palette) == k:
-            break
-        rank = {s: i for i, s in enumerate(palette)}
-        color = [rank[s] for s in sig]
-        k = len(palette)
-    cells = [[] for _ in range(k)]
-    for v, c in enumerate(color):
-        cells[c].append(v)
+    while split and len(cells) < n:  # a discrete partition cannot split further
+        refined = []
+        new = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                a = adj[v]
+                packed = 0
+                for mask in split:
+                    packed = packed * base + (a & mask).bit_count()
+                parts.setdefault(packed, []).append(v)
+            if len(parts) == 1:
+                refined.append(cell)
+                continue
+            for packed in sorted(parts, reverse=True):
+                part = parts[packed]
+                refined.append(part)
+                new.append(sum(1 << v for v in part))
+        cells, split = refined, new
     return cells
 
 
@@ -468,7 +486,9 @@ def canonical_form(g):
     Refinement starts from degrees and only ever splits a cell into parts
     ranked within it, so the cells stay in order of degree: the last cell
     holds only vertices of maximum degree, and the vertex placed last is
-    one of them.
+    one of them.  Since every vertex of `_last` below is in the last cell,
+    `generate` drops a child whose new vertex is outside it before the
+    search, and runs the search on the cells it already refined.
 
     The search also yields `g._last`, the mask of the vertices that end a
     least ordering: the last vertices of the orderings that survive, each
@@ -489,16 +509,17 @@ def canonical_form(g):
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"canonical form supports n <= {CANONICAL_CEILING}")
     if g._key is None:
-        g._key, g._last = _canonical_key(g)
+        g._key, g._last = _canonical_key(g, _refine_cells(g))
     return g._key
 
 
-def _canonical_key(g):
-    """`canonical_form` of g and the mask `_last`, computed afresh."""
+def _canonical_key(g, cells):
+    """`canonical_form` of g and the mask `_last`, computed afresh from
+    the refined cells of g."""
     n = g.n
     if n == 0:
         return b"\x00", 0
-    cells, earlier_twins, bits, orderings = _least_orderings(g)
+    _, earlier_twins, bits, orderings = _least_orderings(g, cells)
     last = 0
     for order in orderings:
         last |= 1 << order[-1] | earlier_twins[order[-1]]
@@ -516,7 +537,7 @@ def _automorphism_generators(g):
     permutation within twin classes.
     """
     n = g.n
-    _, earlier_twins, _, orderings = _least_orderings(g)
+    _, earlier_twins, _, orderings = _least_orderings(g, _refine_cells(g))
     first = orderings[0]
     gens = []
     for order in orderings[1:]:
@@ -533,17 +554,16 @@ def _automorphism_generators(g):
     return gens
 
 
-def _least_orderings(g):
-    """The search of `canonical_form`.
+def _least_orderings(g, cells):
+    """The search of `canonical_form` over the refined cells `cells` of g.
 
-    Returns the refined cells, the mask of each vertex's twins listed
+    Returns the cells, the mask of each vertex's twins listed
     before it in its cell, the least bitstring as an integer, and the
     orderings (tuples of 0-indexed vertices) that reach it under twin
     pruning.
     """
     n = g.n
     adj = g.adj
-    cells = _refine_cells(g)
     earlier_twins = [0] * n  # mask of v's twins listed before v in its cell
     for cell in cells:
         for i, v in enumerate(cell):
@@ -589,7 +609,7 @@ def automorphisms(g, limit=None):
     if g.n > CANONICAL_CEILING:
         raise CeilingExceeded(f"automorphisms support n <= {CANONICAL_CEILING}")
     n = g.n
-    _, earlier_twins, _, orderings = _least_orderings(g)
+    _, earlier_twins, _, orderings = _least_orderings(g, _refine_cells(g))
     mates = [1 << v | twins for v, twins in enumerate(earlier_twins)]  # v's twin class
     for v, twins in enumerate(earlier_twins):
         for u in _bits(twins):

@@ -558,13 +558,37 @@ def test_refine_cells_matches_sorting_reference_property(g):
     assert _refine_cells(g) == _sorting_refine_cells(g)
 
 
+# generate() rejects a child before its canonical search when the new vertex
+# is not in the last refined cell, which is sound only if `_last` lies in it
+
+
+def _last_in_last_cell(g):
+    canonical_form(g)
+    last_cell = sum(1 << v for v in _refine_cells(g)[-1]) if g.n else 0
+    return not g._last & ~last_cell
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_upto())
+def test_last_lies_in_the_last_cell_property(g):
+    assert _last_in_last_cell(g)
+
+
+def test_last_lies_in_the_last_cell_on_augmentations():
+    # every child of every graph on up to 6 vertices, as generate() labels them
+    for n in range(1, 7):
+        for parent in generate(n, connected=False):
+            for child in _augmentations(parent, range(1 << parent.n)):
+                assert _last_in_last_cell(child)
+
+
 # -- the canonical key kept on each Graph -------------------------------------
 
 
 def test_canonical_key_computed_once_per_object(monkeypatch):
     calls = []
     compute = graphs._canonical_key
-    monkeypatch.setattr(graphs, "_canonical_key", lambda g: calls.append(g) or compute(g))
+    monkeypatch.setattr(graphs, "_canonical_key", lambda g, cells: calls.append(g) or compute(g, cells))
     g = families.petersen()
     key = canonical_form(g)
     assert canonical_form(g) is key and calls == [g]
@@ -649,7 +673,7 @@ def reference_automorphisms(g, limit=None):
     """`automorphisms` as it was when it recursed once per position,
     verbatim apart from its name and its argument checks."""
     n = g.n
-    _, earlier_twins, _, orderings = graphs._least_orderings(g)
+    _, earlier_twins, _, orderings = graphs._least_orderings(g, _refine_cells(g))
     mates = [1 << v | twins for v, twins in enumerate(earlier_twins)]  # v's twin class
     for v, twins in enumerate(earlier_twins):
         for u in _bits(twins):
