@@ -27,9 +27,11 @@ from .graphs import (
     is_connected,
     _automorphism_generators,
     _bits,
-    _canonical_key,
     _component_masks,
     _from_masks,
+    _generators,
+    _key_and_last,
+    _least_orderings,
     _refine_cells,
 )
 from .orientation import find_semi_transitive, is_word_representable
@@ -111,17 +113,22 @@ def _orbit_firsts(masks, gens):
     return firsts
 
 
-def _next_level(graphs, connected=False):
+def _next_level(graphs, connected=False, last=False):
     """The next level by canonical augmentation, in increasing order of
     canonical form, from the current one in the same order; with
     `connected`, its connected graphs only (see `generate`).  Each child is
     refined once: the cells serve the last-cell test and then the canonical
-    search, which leaves the child's `_key` and `_last`.
+    search, which leaves the child's `_key` and `_last` and, unless the
+    level is the `last`, its `_gens` for the next call.  A parent without
+    `_gens`, such as the one-vertex graph, has its generators searched for.
     """
     level = []
     for parent in graphs:
         m = parent.n
-        hoods = _orbit_firsts(_max_degree_hoods(parent), _automorphism_generators(parent))
+        gens = getattr(parent, "_gens", None)
+        if gens is None:
+            gens = _automorphism_generators(parent)
+        hoods = _orbit_firsts(_max_degree_hoods(parent), gens)
         if connected:
             comps = _component_masks(parent)
             hoods = [hood for hood in hoods if all(hood & comp for comp in comps)]
@@ -129,8 +136,11 @@ def _next_level(graphs, connected=False):
             cells = _refine_cells(child)
             if cells[-1][-1] != m:  # cells list their vertices in increasing order
                 continue
-            child._key, child._last = _canonical_key(child, cells)
+            search = _least_orderings(child, cells)
+            child._key, child._last = _key_and_last(child, *search)
             if child._last >> m & 1:
+                if not last:
+                    child._gens = _generators(*search)
                 level.append(child)
     level.sort(key=lambda child: child._key)
     return level
@@ -145,8 +155,8 @@ def generate(n, connected=True):
     plus vertex m with some neighborhood, and is kept when
     1. m has the maximum degree in G (tested on the masks),
     2. the neighborhood is the least of its orbit under Aut(P), whose
-       generators `graphs._automorphism_generators` reads off P's own
-       canonical search: one neighborhood per Aut(P)-orbit, and
+       generators are read off P's own canonical search, the one that
+       kept P at level k: one neighborhood per Aut(P)-orbit, and
     3. m is in the orbit of the canonical last vertex of G, the mask
        `G._last` that the canonical search leaves.  That mask lies in the
        last cell of G's refined partition, so a child with m outside that
@@ -179,7 +189,7 @@ def generate(n, connected=True):
         raise CeilingExceeded(f"generation supports 1 <= n <= {GENERATION_CEILING}")
     graphs = [Graph(1)]
     for k in range(2, n + 1):
-        graphs = _next_level(graphs, connected and k == n)
+        graphs = _next_level(graphs, connected and k == n, k == n)
     return Corpus(n, graphs, "generated", connected)
 
 

@@ -25,10 +25,12 @@ class Graph:
     `_key` holds the graph's canonical form once `canonical_form` has
     computed it, and None until then.  `canonical_form` also sets `_last`,
     the mask of the vertices that can be placed last in canonical order,
-    which is unset before.  Equality and hashing ignore both.
+    which is unset before.  Generation sets `_gens`, generators of the
+    automorphism group, on the graphs of a level that it extends further.
+    Equality and hashing ignore all three.
     """
 
-    __slots__ = ("n", "adj", "_key", "_last")
+    __slots__ = ("n", "adj", "_key", "_last", "_gens")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -516,10 +518,14 @@ def canonical_form(g):
 def _canonical_key(g, cells):
     """`canonical_form` of g and the mask `_last`, computed afresh from
     the refined cells of g."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return b"\x00", 0
-    _, earlier_twins, bits, orderings = _least_orderings(g, cells)
+    return _key_and_last(g, *_least_orderings(g, cells))
+
+
+def _key_and_last(g, cells, earlier_twins, bits, orderings):
+    """`_canonical_key` of g, read off its search `_least_orderings`."""
+    n = g.n
     last = 0
     for order in orderings:
         last |= 1 << order[-1] | earlier_twins[order[-1]]
@@ -536,8 +542,12 @@ def _automorphism_generators(g):
     of each vertex and the first of its earlier twins, which generate every
     permutation within twin classes.
     """
-    n = g.n
-    _, earlier_twins, _, orderings = _least_orderings(g, _refine_cells(g))
+    return _generators(*_least_orderings(g, _refine_cells(g)))
+
+
+def _generators(cells, earlier_twins, bits, orderings):
+    """`_automorphism_generators`, read off a search `_least_orderings`."""
+    n = len(earlier_twins)
     first = orderings[0]
     gens = []
     for order in orderings[1:]:

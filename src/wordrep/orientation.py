@@ -29,7 +29,8 @@ all or none of the rest of it: a universal vertex (made a source) or an
 isolated one added to a comparability graph keeps it one, and induced
 subgraphs of comparability graphs are comparability graphs (Golumbic, ch. 5).
 So only a core of 6 or more vertices reaches TRO; a smaller one is a
-comparability graph unless it is C5.  The decision
+comparability graph unless it is C5.  The filter tries the largest
+neighborhoods first, which are the likeliest to fail.  The decision
 procedure `find_semi_transitive` takes these routes in turn:
 comparability, then the filter, then the search.
 """
@@ -37,7 +38,6 @@ comparability, then the filter, then the search.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from operator import xor
 
 from .graphs import _bits
@@ -148,23 +148,6 @@ def _transitive(succ):
     return True
 
 
-def _closures(succ, order):
-    """Descendant and ancestor bitmasks for an acyclic succ table."""
-    n = len(succ)
-    desc = [0] * n
-    for v in reversed(order):
-        d = succ[v]
-        for w in _bits(succ[v]):
-            d |= desc[w]
-        desc[v] = d
-    anc = [0] * n
-    for u in order:
-        a = anc[u] | (1 << u)
-        for v in _bits(succ[u]):
-            anc[v] |= a
-    return desc, anc
-
-
 def is_semi_transitive(o):
     """Acyclicity plus, for every arc u->v, transitivity of the
     sub-orientation induced by u, v and the vertices between them."""
@@ -175,23 +158,37 @@ def is_semi_transitive(o):
 
 
 def _shortcut_free(succ, order):
-    """Whether the sub-orientation on every arc's interval is transitive.
+    """Whether the sub-orientation on every arc's interval is transitive,
+    for an acyclic succ table and a topological order of it.
 
     The interval of an arc u->v holds u, v and the vertices between them;
-    every path between two of its vertices stays inside it, so it is
-    transitive exactly when each vertex's descendants in it are its
-    successors.
+    every path between two of its vertices stays inside it, so it fails to
+    be transitive exactly when some a in it has a descendant b in it that is
+    not a successor of a: a shortcut, with a at u or between, and b between
+    or at v.  One reverse pass over the order carries, for each vertex x,
+    its descendants and its ends: the vertices reachable from (or equal to)
+    a non-successor descendant of x or of one of x's descendants.  Such a
+    descendant a of x, or x itself, and such a b give a shortcut on the
+    interval of exactly the arcs x->v with v among the ends of x, so the
+    test fails when an arc's head is among its tail's ends.
     """
-    desc, anc = _closures(succ, order)
-    for u in range(len(succ)):
-        for v in _bits(succ[u]):
-            between = desc[u] & anc[v]
-            if not between:
-                continue
-            scope = between | (1 << u) | (1 << v)
-            for a in _bits(scope):
-                if desc[a] & scope & ~succ[a]:
-                    return False
+    n = len(succ)
+    desc = [0] * n
+    ends = [0] * n
+    for x in reversed(order):
+        s = succ[x]
+        d, e = s, 0
+        for w in _bits(s):
+            d |= desc[w]
+            e |= ends[w]
+        far = d & ~s
+        e |= far
+        for z in _bits(far):
+            e |= desc[z]
+        if e & s:
+            return False
+        desc[x] = d
+        ends[x] = e
     return True
 
 
@@ -473,7 +470,13 @@ def is_permutationally_representable(g):
 
 def neighborhood_filter(g):
     """Necessary condition: every vertex neighborhood of a word-representable
-    graph is a comparability graph.  Returns the first failing vertex or None.
+    graph is a comparability graph.  Returns the first failing vertex, in
+    the order below, or None.
+
+    The vertices are tried in decreasing order of degree, ties by index: a
+    larger neighborhood is likelier to hold a core that is not a
+    comparability graph, so a refutation tends to come sooner.  The order
+    decides only which failing vertex is returned, not whether one is.
 
     Each neighborhood is decided from its core: the neighborhood less its
     vertices adjacent to all of the rest of it or to none of it.  Adding a
@@ -488,10 +491,13 @@ def neighborhood_filter(g):
     zeroed.
     """
     adj = g.adj
-    for v, hood in enumerate(adj):
-        top = hood.bit_count() - 1  # a universal vertex's degree in the hood
-        if top < 4:  # a hood under 5 vertices has a core under 5
-            continue
+    degree = [hood.bit_count() for hood in adj]
+    # a hood under 5 vertices has a core under 5; the sort is stable, so
+    # ties keep index order
+    large = [v for v, d in enumerate(degree) if d > 4]
+    for v in sorted(large, key=degree.__getitem__, reverse=True):
+        hood = adj[v]
+        top = degree[v] - 1  # a universal vertex's degree in the hood
         core = 0
         for u in _bits(hood):
             if 0 < (adj[u] & hood).bit_count() < top:
@@ -534,7 +540,13 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
     start = time.monotonic()
     tro = find_transitive(g)
     if tro.found:
-        return replace(tro, elapsed=time.monotonic() - start, detail={"route": "comparability"})
+        return SearchOutcome(
+            WITNESS,
+            tro.witness,
+            tro.nodes_expanded,
+            time.monotonic() - start,
+            {"route": "comparability"},
+        )
     v = neighborhood_filter(g)
     if v is not None:
         return SearchOutcome(
@@ -547,7 +559,9 @@ def find_semi_transitive(g, max_nodes=None, max_seconds=None, *, budget=None):
         lambda o: _orients_each_edge_once(g.adj, o.succ) and is_semi_transitive(o),
         detail,
     )
-    return replace(out, elapsed=time.monotonic() - start)
+    return SearchOutcome(
+        out.status, out.witness, out.nodes_expanded, time.monotonic() - start, detail
+    )
 
 
 def is_word_representable(g, max_nodes=None, max_seconds=None):

@@ -323,7 +323,11 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
     pattern avoidance (labeling matters), so every labeled word within the
     caps must be considered.  Every non-edge is checked once on the empty
     word, at the cost of one node; after that a placement changes only the
-    pairs at the placed letter, which the walk checks again.
+    pairs at the placed letter, which the walk checks again.  A node whose
+    barred letters include an unplaced one has no witness below it: the
+    barred mask only grows as the word grows (an occurrence stays in every
+    extension), and a witness places every letter, so such a node bars
+    every move.
     """
     t = as_pattern(t)
     caps, complete = multiplicity_caps(g, t)
@@ -343,12 +347,13 @@ def find_pattern_avoiding_word(g, t, max_nodes=None, max_seconds=None):
             for y in range(x + 1, g.n)
             if not g.adj[x] >> y & 1
         )
+
+        def bar(word, placed):
+            barred = -1 if hopeless else _occurrence_mask(word, t, g.n)
+            return -1 if barred & ~placed else barred  # an unplaced letter is barred
+
         return _walk(
-            g,
-            rem,
-            budget,
-            lambda word, placed: -1 if hopeless else _occurrence_mask(word, t, g.n),
-            lambda word, placed, loose: placed == full and not loose,
+            g, rem, budget, bar, lambda word, placed, loose: placed == full and not loose
         )
 
     return run_search(

@@ -26,6 +26,7 @@ from wordrep.graphs import (
     contains_induced,
     is_connected,
     is_isomorphic,
+    _automorphism_generators,
     _bits,
     _refine_cells,
 )
@@ -94,6 +95,17 @@ def test_next_level_matches_reference_labelled():
         assert [g.adj for g in new] == [g.adj for g in reference_next_level(level)]
         assert len(new) == ALL_COUNTS[n]
         level = new
+
+
+def test_next_level_keeps_the_generators_of_each_graph():
+    # each kept child carries the generators that a fresh search reads off
+    # it, for the next level; the last level keeps none
+    level = [Graph(1)]
+    for n in range(2, 8):
+        level = _next_level(level)
+        assert all(g._gens == _automorphism_generators(g) for g in level), n
+    assert not any(hasattr(g, "_gens") for g in _next_level(level, last=True))
+    assert not any(hasattr(g, "_gens") for g in generate(6, connected=False))
 
 
 def test_canonical_last_vertex_has_maximum_degree():

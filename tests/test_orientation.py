@@ -16,6 +16,7 @@ from wordrep.graphs import (
     _bits,
     add_apex,
     canonical_form,
+    disjoint_union,
     induced_subgraph,
     is_connected,
     line_graph,
@@ -300,11 +301,22 @@ def test_neighborhood_filter():
     assert neighborhood_filter(families.petersen()) is None
     assert neighborhood_filter(families.co_t2()) is None
     assert neighborhood_filter(families.max_degree_four_counterexample()) is None
+    # the hub of W7 (degree 7) comes before the hub of W5 (degree 5)
+    wheels = disjoint_union(families.wheel(5), families.wheel(7))
+    assert neighborhood_filter(wheels) == 14
+    assert reference_neighborhood_filter(wheels, wheels.vertices()) == 6
 
 
-def reference_neighborhood_filter(g):
-    """`neighborhood_filter` as it was when it built each neighbourhood."""
-    for v in g.vertices():
+def _filter_order(g):
+    """The vertices in the order `neighborhood_filter` tries them: by
+    decreasing degree, ties by index."""
+    return sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+
+
+def reference_neighborhood_filter(g, order=None):
+    """`neighborhood_filter` as it was when it built each neighbourhood,
+    trying the vertices in `order`, the filter's own when None."""
+    for v in _filter_order(g) if order is None else order:
         if not find_transitive(induced_subgraph(g, g.neighbors(v))).found:
             return v
     return None
@@ -318,16 +330,19 @@ def _graphs_upto(draw, top):
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
-def _core_sizes(g, upto):
+def _core_sizes(g, stop):
     """(core size, largest vertex) of the neighbourhoods of 5 or more
-    vertices among vertices 1..upto; the core is the neighbourhood less its
-    vertices adjacent to all or none of the rest of it."""
+    vertices in the filter's order, up to vertex `stop` (all of them when
+    None); the core is the neighbourhood less its vertices adjacent to all
+    or none of the rest of it."""
     sizes = []
-    for v in range(1, upto + 1):
+    for v in _filter_order(g):
         hood = set(g.neighbors(v))
         if len(hood) >= 5:
             degrees = [len(hood.intersection(g.neighbors(u))) for u in hood]
             sizes.append((sum(0 < d < len(hood) - 1 for d in degrees), max(hood)))
+        if v == stop:
+            break
     return sizes
 
 
@@ -338,7 +353,7 @@ def test_neighborhood_filter_matches_reference():
     def check(g):
         v = neighborhood_filter(g)
         assert v == reference_neighborhood_filter(g), g
-        for size, top in _core_sizes(g, g.n if v is None else v):
+        for size, top in _core_sizes(g, v):
             cases["under 5" if size < 5 else "5" if size == 5 else "TRO"] += 1
             cases["TRO past 12 bits"] += size > 5 and top > 12
         return v is not None
@@ -355,6 +370,16 @@ def test_neighborhood_filter_matches_reference():
 
     check_random()
     assert all(cases.values()), cases
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_graphs_upto(12))
+def test_neighborhood_filter_refutes_what_index_order_refutes(g):
+    # the order only picks which failing vertex is named
+    v = neighborhood_filter(g)
+    assert (v is None) == (reference_neighborhood_filter(g, g.vertices()) is None)
+    if v is not None:
+        assert not find_transitive(induced_subgraph(g, g.neighbors(v))).found
 
 
 def test_graphs_below_five_vertices_are_comparability_graphs():
@@ -653,6 +678,102 @@ def test_semi_transitive_matches_oracle_on_all_small_orientations():
                 ]
                 o = Orientation(g, arcs)
                 assert is_semi_transitive(o) == _oracle_semi_transitive(o)
+
+
+def _reference_closures(succ, order):
+    """Descendant and ancestor bitmasks for an acyclic succ table."""
+    n = len(succ)
+    desc = [0] * n
+    for v in reversed(order):
+        d = succ[v]
+        for w in _bits(succ[v]):
+            d |= desc[w]
+        desc[v] = d
+    anc = [0] * n
+    for u in order:
+        a = anc[u] | (1 << u)
+        for v in _bits(succ[u]):
+            anc[v] |= a
+    return desc, anc
+
+
+def reference_shortcut_free(succ, order):
+    """`_shortcut_free` as it was when it built both closures first and
+    tested every arc's interval, verbatim apart from its name."""
+    desc, anc = _reference_closures(succ, order)
+    for u in range(len(succ)):
+        for v in _bits(succ[u]):
+            between = desc[u] & anc[v]
+            if not between:
+                continue
+            scope = between | (1 << u) | (1 << v)
+            for a in _bits(scope):
+                if desc[a] & scope & ~succ[a]:
+                    return False
+    return True
+
+
+def _topological_by_rank(succ, rank):
+    """Kahn's topological order of succ, taking the ready vertex of least
+    rank first, or None on a directed cycle."""
+    indeg = [0] * len(succ)
+    for s in succ:
+        for v in _bits(s):
+            indeg[v] += 1
+    ready = [v for v, d in enumerate(indeg) if not d]
+    order = []
+    while ready:
+        v = min(ready, key=rank.__getitem__)
+        ready.remove(v)
+        order.append(v)
+        for w in _bits(succ[v]):
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return order if len(order) == len(succ) else None
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_shortcut_free_matches_the_closure_form(data):
+    # arbitrary arcs, on either side of a random rank, so that cyclic
+    # tables (two-cycles too) are drawn as well as acyclic ones
+    n = data.draw(st.integers(0, 9))
+    rank = data.draw(st.permutations(range(n)))
+    forward_only = data.draw(st.booleans())
+    succ = []
+    for u in range(n):
+        mask = data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << u)
+        if forward_only:
+            mask &= sum(1 << v for v in range(n) if rank[v] > rank[u])
+        succ.append(mask)
+    order = _topological_by_rank(succ, data.draw(st.permutations(range(n))))
+    if order is not None:
+        assert _shortcut_free(succ, order) == reference_shortcut_free(succ, order)
+    if not any(succ[v] >> u & 1 for u in range(n) for v in _bits(succ[u])):
+        # no two-cycle, so the arcs orient a graph
+        g = Graph(n, [(u + 1, v + 1) for u in range(n) for v in _bits(succ[u])])
+        o = Orientation._from_succ(g, succ)
+        assert is_semi_transitive(o) == _oracle_semi_transitive(o)
+
+
+def test_shortcut_free_matches_the_closure_form_on_search_leaves(monkeypatch):
+    # every orientation that the search's leaves test, and its witness
+    # check, on every graph of up to 7 vertices
+    tested = []
+    real = orientation._shortcut_free
+    monkeypatch.setattr(
+        orientation,
+        "_shortcut_free",
+        lambda succ, order: tested.append((succ, order)) or real(succ, order),
+    )
+    for n in range(1, 8):
+        for g in generate_all(n):
+            o = _orient(g, _Budget())
+            assert o is None or is_semi_transitive(o), g
+    assert len(tested) > 2000
+    for succ, order in tested:
+        assert real(succ, order) == reference_shortcut_free(succ, order), succ
 
 
 def test_find_semi_transitive_matches_orientation_enumeration():

@@ -580,7 +580,8 @@ def _reference_ends_with_occurrence(word, t):
 
 
 class _ReferencePatternSearch:
-    def __init__(self, g, t, caps, budget):
+    def __init__(self, g, t, caps, budget, dead_letter_rule=False):
+        self.dead_letter_rule = dead_letter_rule
         self.g = g
         self.n = g.n
         self.t = t
@@ -671,6 +672,12 @@ class _ReferencePatternSearch:
             return tuple(self.word)
         if len(self.word) == sum(self.caps):
             return None
+        if self.dead_letter_rule and any(
+            self.remaining[x] == self.caps[x]
+            and _reference_any_ends_with_occurrence(self.word, x + 1, self.t)
+            for x in range(self.n)
+        ):
+            return None  # an unplaced letter can never be placed
         for x in range(self.n):
             if not self._placeable(x):
                 continue
@@ -683,10 +690,13 @@ class _ReferencePatternSearch:
         return None
 
 
-def reference_pattern_search(g, t):
-    """(witness or None, nodes) of the old pattern search."""
+def reference_pattern_search(g, t, dead_letter_rule=False):
+    """(witness or None, nodes) of the old pattern search; with
+    `dead_letter_rule`, a node where some unplaced letter would complete an
+    occurrence of t is a dead end."""
     budget = _Budget()
-    searcher = _ReferencePatternSearch(g, t, multiplicity_caps(g, t)[0], budget)
+    caps = multiplicity_caps(g, t)[0]
+    searcher = _ReferencePatternSearch(g, t, caps, budget, dead_letter_rule)
     return searcher.search(), budget.nodes
 
 
@@ -722,15 +732,31 @@ def test_uniform_verdicts_match_unpruned_search():
 
 
 def test_pattern_search_matches_reference():
+    pruned = 0
     for n in (5, 6):
         for g in generate(n):
             for t in ((1, 3, 2), (1, 2, 3)):
                 out = find_pattern_avoiding_word(g, t)
-                assert (out.witness, out.nodes_expanded) == reference_pattern_search(g, t), (g, t)
+                expected = reference_pattern_search(g, t, dead_letter_rule=True)
+                assert (out.witness, out.nodes_expanded) == expected, (g, t)
+                # the rule only cuts subtrees without a witness
+                witness, nodes = reference_pattern_search(g, t)
+                assert witness == out.witness and nodes >= out.nodes_expanded, (g, t)
+                pruned += nodes > out.nodes_expanded
+    assert pruned  # the rule is exercised
     # under 21 every letter of P3 is capped at one copy, so its non-edge can
     # never break; the old search saw that after each root placement
     out = find_pattern_avoiding_word(families.path(3), (2, 1))
     assert out.refuted and out.nodes_expanded == 1
+
+
+def test_pattern_search_stops_at_a_letter_it_can_never_place():
+    # 123 bars, for good, every letter above the least letter that follows
+    # a smaller one, so a node that bars an unplaced letter is a dead end;
+    # without that rule the search took 1,747,630 nodes here
+    out = find_pattern_avoiding_word(families.empty(12), (1, 2, 3))
+    assert out.found and out.nodes_expanded == 51707
+    assert out.witness == (1, 1, 1, 12, *(c for c in range(11, 1, -1) for _ in range(2)))
 
 
 def _reference_any_ends_with_occurrence(word, z, t):
